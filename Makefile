@@ -37,10 +37,11 @@ bench-quick:
 
 # Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput,
 # process switches, Signal wake/broadcast, timed-wait re-arm, the MPI
-# layer riding on them, and the adaptive controller's decision path
-# (DESIGN.md §16). The steady-state paths must stay 0 allocs/op.
+# layer riding on them, the adaptive controller's decision path
+# (DESIGN.md §16), and result-content fill and exact match in MB/s
+# (DESIGN.md §14). The steady-state paths must stay 0 allocs/op.
 bench-kernel:
-	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/
+	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The
@@ -49,7 +50,7 @@ bench-scale:
 	$(GO) test -bench BenchmarkScaleWorkers -benchmem -benchtime=1x -run xxx ./internal/core/
 
 # The verified read path: mixed GET/PUT sweep plus the readback-under-chaos
-# battery. Exits nonzero on any checksum mismatch.
+# battery. Exits nonzero on any content mismatch.
 bench-readback:
 	$(GO) run ./cmd/s3abench -suite readback -quick -quiet -json ""
 

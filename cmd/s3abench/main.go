@@ -23,7 +23,7 @@
 // path: a mixed GET/PUT sweep (every durable batch re-read and checksummed
 // at 100/0, 90/10, and 50/50 GET shares) followed by the readback-under-chaos
 // battery, which re-runs committed fault plans with end-to-end content
-// verification — any checksum mismatch fails the suite, so a clean exit
+// verification — any content mismatch fails the suite, so a clean exit
 // certifies zero silent corruption. The scale suite runs the rank-scaling study
 // (bounded task count, FSM worker engine) at 1k/10k/100k ranks — 1k/10k
 // under -quick — reporting wall time, event throughput, and peak memory

@@ -127,8 +127,8 @@ type Config struct {
 
 	// Readback, if non-nil, enables the verified read path (DESIGN.md §14):
 	// in-run and/or post-run verifiers read committed extents back through a
-	// real read strategy and compare content hashes against independently
-	// regenerated bytes. Requires CaptureData. Nil issues no reads and is
+	// real read strategy and compare every byte exactly against the written
+	// or generated content. Requires CaptureData. Nil issues no reads and is
 	// bit-identical to builds without the readback code.
 	Readback *ReadbackConfig
 

@@ -277,12 +277,14 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 }
 
 // batchData materializes a batch's result bytes in file order (capture
-// verification runs only).
+// verification runs only), generating each result in place.
 func (rt *runtime) batchData(b batch) []byte {
-	out := make([]byte, 0, b.Bytes)
+	out := make([]byte, b.Bytes)
+	var at int64
 	for q := b.LoQ; q < b.HiQ; q++ {
 		for _, res := range rt.wl.Queries[q].Results {
-			out = append(out, rt.wl.ResultData(q, res.Index, res.Size)...)
+			rt.wl.FillResult(q, res.Index, 0, out[at:at+res.Size])
+			at += res.Size
 		}
 	}
 	return out

@@ -1,22 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
 	"s3asim/internal/romio"
+	"s3asim/internal/search"
 )
 
 // This file is the verified read path (DESIGN.md §14): end-to-end content
-// verification in the style of s3bench. Writers fill result segments with
-// seeded pseudo-random bytes (Workload.ResultData, stored behind
-// pvfs.CaptureData); verifiers read committed extents back through a real
-// read strategy (romio.ReadSegsOp / CollReadOp) and compare content hashes
-// against independently regenerated expected bytes. Offset bookkeeping
+// verification in the style of s3bench. Writers fill result segments in
+// place with counter-based pseudo-random bytes (Workload.FillResult, stored
+// behind pvfs.CaptureData); verifiers read committed extents back through a
+// real read strategy (romio.ReadSegsOp / CollReadOp) and compare every byte
+// exactly — in-run reads against the bytes the writer sent, post-run reads
+// against the generator itself (Workload.MatchRange). Offset bookkeeping
 // (coverage, overlap, acks) cannot see a write that was acknowledged but
-// lost, duplicated, torn, or misplaced — the readback checksum can.
+// lost, duplicated, torn, or misplaced — the byte comparison can.
 //
 // Everything here is nil-gated on Config.Readback: a run without it issues
 // no reads and is bit-identical to builds without this file.
@@ -86,27 +89,16 @@ func (c *Config) validateReadback() error {
 type readbackState struct {
 	conf       ReadbackConfig
 	reads      int64 // read operations issued (in-run rounds + post-run batches)
-	extents    int64 // extents compared against regenerated content
+	extents    int64 // extents compared byte for byte
 	bytes      int64 // bytes read back through the read strategy
-	mismatches int64 // extents whose content hash diverged
+	mismatches int64 // extents whose content diverged
 	firstErr   error // first mismatch, for the report error
 }
 
-// contentHash is FNV-1a over b — the checksum both sides of the
-// verification compute (stored bytes vs regenerated bytes).
-func contentHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rbVerify compares one readback's bytes against the expected content
-// carried in segs[i].Data (regenerated from the workload, never read from
-// the file), extent by extent.
-func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte) {
+// rbVerify compares one readback with what was written, extent by extent
+// and byte for byte: got[i] must equal segs[i].Data (the bytes the writer
+// sent) or, when results is non-nil, the generator's content of results[i].
+func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte, results []search.Result) {
 	rb := rt.rb
 	rb.reads++
 	for i, s := range segs {
@@ -116,7 +108,13 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte) {
 		if i < len(got) {
 			g = got[i]
 		}
-		if int64(len(g)) != s.Length || contentHash(g) != contentHash(s.Data) {
+		ok := int64(len(g)) == s.Length
+		if ok && results != nil {
+			ok = rt.wl.MatchRange(results[i].Query, results[i].Index, 0, g)
+		} else if ok {
+			ok = bytes.Equal(g, s.Data)
+		}
+		if !ok {
 			rb.mismatches++
 			if rb.firstErr == nil {
 				rb.firstErr = fmt.Errorf("core: readback mismatch at %s: offset %d len %d",
@@ -151,7 +149,7 @@ func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []p
 		} else {
 			got = rt.file.ReadSegs(r, rb.conf.Method, segs)
 		}
-		rt.rbVerify(r.Proc().Name(), segs, got)
+		rt.rbVerify(r.Proc().Name(), segs, got, nil)
 	}
 }
 
@@ -166,16 +164,16 @@ func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch, data []by
 	pt.Switch(PhaseIO)
 	for i := 0; i < rb.conf.InRunReads; i++ {
 		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
-		rt.rbVerify(r.Proc().Name(), segs, got)
+		rt.rbVerify(r.Proc().Name(), segs, got, nil)
 	}
 }
 
 // rbPostRun is the end-of-run verifier: the group master reads every
 // committed result extent of its query range back through the read strategy
 // — batch by batch, at result granularity so list and sieve methods see the
-// noncontiguous shape — and checks content hashes against regenerated
-// bytes. Runs after the final barrier (non-resilient) or the shutdown
-// handshake (resilient), when every batch is durable.
+// noncontiguous shape — and checks every byte against the generator, so it
+// never holds expected bytes. Runs after the final barrier (non-resilient)
+// or the shutdown handshake (resilient), when every batch is durable.
 func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
 	rb := rt.rb
 	if rb == nil || !rb.conf.PostRun {
@@ -184,19 +182,17 @@ func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
 	pt.Switch(PhaseIO)
 	for _, b := range g.batches {
 		var segs []pvfs.Segment
+		var results []search.Result
 		for q := b.LoQ; q < b.HiQ; q++ {
 			for _, res := range rt.wl.Queries[q].Results {
-				segs = append(segs, pvfs.Segment{
-					Offset: res.Offset,
-					Length: res.Size,
-					Data:   rt.wl.ResultData(q, res.Index, res.Size),
-				})
+				segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
+				results = append(results, res)
 			}
 		}
 		if len(segs) == 0 {
 			continue
 		}
 		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
-		rt.rbVerify(r.Proc().Name(), segs, got)
+		rt.rbVerify(r.Proc().Name(), segs, got, results)
 	}
 }

@@ -84,6 +84,32 @@ func TestReadbackDetectsSilentWriteDrop(t *testing.T) {
 	}
 }
 
+// TestImageOracleDetectsSilentWriteDrop pins the out-of-band image check on
+// its own: with readback off, a capturing run whose write was silently
+// zeroed must fail verifyImage's exact comparison against the generator.
+func TestImageOracleDetectsSilentWriteDrop(t *testing.T) {
+	for _, s := range Strategies {
+		cfg := tinyConfig()
+		cfg.Strategy = s
+		cfg.CaptureData = true
+		dropped := false
+		cfg.TestWriteDropper = func(off, n int64) bool {
+			if dropped || n == 0 {
+				return false
+			}
+			dropped = true
+			return true
+		}
+		rep, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "content mismatch") {
+			t.Fatalf("%v: silent drop not detected by the image check, err=%v", s, err)
+		}
+		if rep == nil || rep.Verified {
+			t.Fatalf("%v: report claims a verified image", s)
+		}
+	}
+}
+
 // TestReadbackFSMMatchesGoroutine pins engine parity: the FSM process model
 // must execute the identical readback event sequence as goroutine workers.
 func TestReadbackFSMMatchesGoroutine(t *testing.T) {

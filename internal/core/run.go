@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"s3asim/internal/causal"
@@ -110,7 +109,7 @@ type Report struct {
 
 	// Readback* summarize the verified read path (Config.Readback runs
 	// only): reads issued through the read strategy, extents and bytes
-	// compared against regenerated content, and extents whose content hash
+	// compared against the expected content, and extents whose content
 	// diverged. A run with ReadbackMismatches > 0 also returns an error.
 	ReadbackReads      int64
 	ReadbackExtents    int64
@@ -576,13 +575,16 @@ func (rt *runtime) recordMetrics(rep *Report) {
 }
 
 // verifyImage checks every result's bytes against the workload's
-// deterministic content — the cross-strategy file-image invariant.
+// deterministic content — the cross-strategy file-image invariant. It is
+// the out-of-band oracle: it compares the stored extents in place, byte for
+// byte, against the generator, and any unwritten byte fails.
 func (rt *runtime) verifyImage(f *pvfs.File) error {
 	for q := rt.cfg.ResumeFromQuery; q < len(rt.wl.Queries); q++ {
 		for _, r := range rt.wl.Queries[q].Results {
-			want := rt.wl.ResultData(q, r.Index, r.Size)
-			got := f.ReadBack(r.Offset, r.Size)
-			if !bytes.Equal(got, want) {
+			ok := f.Visit(r.Offset, r.Size, func(off int64, b []byte) bool {
+				return rt.wl.MatchRange(q, r.Index, off-r.Offset, b)
+			})
+			if !ok {
 				return fmt.Errorf("core: query %d result %d content mismatch at offset %d",
 					q, r.Index, r.Offset)
 			}

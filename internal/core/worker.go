@@ -347,26 +347,37 @@ func (rt *runtime) stampFlush(proc string, g *group, localBatch int) {
 
 // placementsToSegments converts result placements (already in file order)
 // to write segments, coalescing adjacent results — a real implementation
-// merges contiguous extents when building its I/O list.
+// merges contiguous extents when building its I/O list. Capture runs fill
+// every segment's bytes once, in place, from one buffer.
 func (rt *runtime) placementsToSegments(placements []search.Result) []pvfs.Segment {
 	var segs []pvfs.Segment
 	for _, res := range placements {
-		var data []byte
-		if rt.cfg.CaptureData {
-			data = rt.wl.ResultData(res.Query, res.Index, res.Size)
-		}
 		if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length == res.Offset {
 			segs[n-1].Length += res.Size
-			if data != nil {
-				segs[n-1].Data = append(segs[n-1].Data, data...)
-			}
 			continue
 		}
-		seg := pvfs.Segment{Offset: res.Offset, Length: res.Size}
-		if data != nil {
-			seg.Data = append([]byte(nil), data...)
+		segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
+	}
+	if rt.cfg.CaptureData {
+		// The segments tile the placements in order, so the buffer holds
+		// each result at its running position and each segment is a
+		// capacity-capped window of it.
+		var total int64
+		for _, res := range placements {
+			total += res.Size
 		}
-		segs = append(segs, seg)
+		buf := make([]byte, total)
+		var at int64
+		for _, res := range placements {
+			rt.wl.FillResult(res.Query, res.Index, 0, buf[at:at+res.Size])
+			at += res.Size
+		}
+		at = 0
+		for i := range segs {
+			end := at + segs[i].Length
+			segs[i].Data = buf[at:end:end]
+			at = end
+		}
 	}
 	return segs
 }

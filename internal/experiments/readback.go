@@ -98,7 +98,7 @@ type ReadbackCell struct {
 	Reads     float64
 	Extents   float64
 	BytesRead float64
-	// Mismatches is the mean content-hash mismatches per run — always 0 in
+	// Mismatches is the mean content mismatches per run — always 0 in
 	// a completed sweep, because a mismatch fails the run (and the sweep).
 	Mismatches float64
 	// ReadShare is BytesRead over the run's output bytes: the realized

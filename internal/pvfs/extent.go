@@ -170,6 +170,31 @@ func (m *extentMap) read(off, n int64) []byte {
 	return out
 }
 
+// visit calls fn, in file order, with each stored piece of [off, off+n):
+// the piece's file offset and a read-only view of its captured bytes. It
+// returns false, stopping early, when fn does or when any byte of the range
+// is unwritten or was stored without capture. An empty range visits nothing
+// and returns true.
+func (m *extentMap) visit(off, n int64, fn func(off int64, b []byte) bool) bool {
+	end := off + n
+	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
+	for pos := off; pos < end; i++ {
+		if i == len(m.exts) {
+			return false
+		}
+		e := m.exts[i]
+		if e.off > pos || e.data == nil {
+			return false
+		}
+		hi := min64(e.end(), end)
+		if !fn(pos, e.data[pos-e.off:hi-e.off]) {
+			return false
+		}
+		pos = hi
+	}
+	return true
+}
+
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -10,6 +10,9 @@ import (
 func FuzzExtentMap(f *testing.F) {
 	f.Add([]byte{10, 5, 1, 8, 9, 2})
 	f.Add([]byte{0, 255, 3})
+	// Partial overwrites splitting an extent on both sides, and a hole
+	// between two runs.
+	f.Add([]byte{0, 63, 1, 1, 20, 2, 2, 9, 3, 8, 40, 4, 9, 30, 5})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const size = 1 << 12
 		ref := make([]byte, size)
@@ -50,6 +53,7 @@ func FuzzExtentMap(f *testing.F) {
 			if got := m.read(off, n); !bytes.Equal(got, ref[off:off+n]) {
 				t.Fatalf("read(%d, %d) diverged from reference", off, n)
 			}
+			checkVisit(t, &m, off, n, covered)
 		}
 		var want int64
 		for _, c := range covered {
@@ -61,4 +65,32 @@ func FuzzExtentMap(f *testing.F) {
 			t.Fatalf("coverage %d, want %d", m.coverage(), want)
 		}
 	})
+}
+
+// checkVisit cross-checks the in-place view against read: over a fully
+// covered window the visited pieces tile it in order and concatenate to
+// read's bytes; a window with any gap must report a mismatch.
+func checkVisit(t *testing.T, m *extentMap, off, n int64, covered []bool) {
+	t.Helper()
+	full := true
+	for _, c := range covered[off : off+n] {
+		full = full && c
+	}
+	var seen []byte
+	pos := off
+	ok := m.visit(off, n, func(at int64, b []byte) bool {
+		if at != pos || len(b) == 0 {
+			t.Fatalf("visit(%d, %d) piece at %d len %d, want a non-empty piece at %d",
+				off, n, at, len(b), pos)
+		}
+		pos += int64(len(b))
+		seen = append(seen, b...)
+		return true
+	})
+	if ok != full {
+		t.Fatalf("visit(%d, %d) = %v, window fully covered = %v", off, n, ok, full)
+	}
+	if ok && !bytes.Equal(seen, m.read(off, n)) {
+		t.Fatalf("visit(%d, %d) diverged from read", off, n)
+	}
 }

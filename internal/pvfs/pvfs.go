@@ -252,6 +252,15 @@ func (f *File) FullyCovers(size int64) bool { return f.data.covers(size) }
 // ReadBack returns captured bytes for [off, off+n), zero-filled in gaps.
 func (f *File) ReadBack(off, n int64) []byte { return f.data.read(off, n) }
 
+// Visit calls fn, in file order, with each stored piece of [off, off+n): its
+// file offset and an in-place view of its captured bytes, which fn must not
+// modify or retain. It returns false, stopping early, if fn does or if any
+// byte of the range is a gap (never written, or written without capture);
+// an empty range returns true. Unlike ReadBack it copies nothing.
+func (f *File) Visit(off, n int64, fn func(off int64, b []byte) bool) bool {
+	return f.data.visit(off, n, fn)
+}
+
 // Captures reports whether the file system stores real bytes
 // (Config.CaptureData), i.e. whether ReadBack returns meaningful content.
 func (f *File) Captures() bool { return f.fs.cfg.CaptureData }

@@ -476,3 +476,63 @@ func TestPropertyListAndContigEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileVisit exercises the in-place view on a real file: a write that
+// crosses strip boundaries (stored as one extent per server piece), a
+// partial overwrite, and a gap. Covered ranges visit the same bytes
+// ReadBack copies; any gap is a mismatch.
+func TestFileVisit(t *testing.T) {
+	sim := des.New()
+	fs := New(sim, testConfig()) // 100-byte strips
+	port := freePort(sim)
+	var f *File
+	sim.Spawn("client", func(p *des.Proc) {
+		f = fs.Create(p, "out")
+		data := make([]byte, 350)
+		for i := range data {
+			data[i] = byte(i)
+		}
+		f.Write(p, port, 50, 350, data)                           // [50, 400): four strips
+		f.Write(p, port, 120, 30, bytes.Repeat([]byte{0xAB}, 30)) // overwrite inside a strip
+		f.Write(p, port, 500, 20, bytes.Repeat([]byte{7}, 20))    // leaves [400, 500) a gap
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	visit := func(off, n int64) (pieces int, got []byte, ok bool) {
+		ok = f.Visit(off, n, func(at int64, b []byte) bool {
+			if at != off+int64(len(got)) {
+				t.Fatalf("piece at %d, want %d", at, off+int64(len(got)))
+			}
+			pieces++
+			got = append(got, b...)
+			return true
+		})
+		return pieces, got, ok
+	}
+	pieces, got, ok := visit(60, 300)
+	if !ok || !bytes.Equal(got, f.ReadBack(60, 300)) {
+		t.Fatalf("visit over strip-split extents: ok=%v, bytes match=%v", ok, bytes.Equal(got, f.ReadBack(60, 300)))
+	}
+	if pieces < 4 {
+		t.Fatalf("range crossing strips and an overwrite visited %d pieces, want >= 4", pieces)
+	}
+	if got[120-60] != 0xAB || got[150-60] != 100 { // file offset 150 holds data[100]
+		t.Fatal("visit does not show the overwrite in place")
+	}
+	for _, r := range [][2]int64{{390, 20}, {0, 60}, {400, 100}, {510, 20}} {
+		if _, _, ok := visit(r[0], r[1]); ok {
+			t.Fatalf("visit(%d, %d) over a gap reported a match", r[0], r[1])
+		}
+	}
+	if _, _, ok := visit(500, 20); !ok {
+		t.Fatal("visit over a covered extent failed")
+	}
+	stop := f.Visit(60, 300, func(int64, []byte) bool { return false })
+	if stop {
+		t.Fatal("visit ignored fn's mismatch")
+	}
+	if a := testing.AllocsPerRun(50, func() { f.Visit(60, 300, func(int64, []byte) bool { return true }) }); a != 0 {
+		t.Fatalf("Visit allocates %v per call, want 0", a)
+	}
+}

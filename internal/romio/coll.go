@@ -225,19 +225,27 @@ func isAggregator(rank int, plan *collPlan) bool {
 func coalesce(segs []pvfs.Segment) []pvfs.Segment {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Offset < segs[j].Offset })
 	out := segs[:0:0]
-	for _, s := range segs {
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.Offset+last.Length == s.Offset &&
-				(last.Data != nil) == (s.Data != nil) {
-				if last.Data != nil {
-					last.Data = append(append([]byte(nil), last.Data...), s.Data...)
-				}
-				last.Length += s.Length
-				continue
+	for i := 0; i < len(segs); {
+		run := segs[i]
+		j := i + 1
+		for ; j < len(segs); j++ {
+			s := segs[j]
+			if run.Offset+run.Length != s.Offset || (run.Data != nil) != (s.Data != nil) {
+				break
 			}
+			run.Length += s.Length
 		}
-		out = append(out, s)
+		if run.Data != nil && j > i+1 {
+			// The pieces alias the callers' buffers: copy the merged run
+			// once, at its final size.
+			data := make([]byte, 0, run.Length)
+			for _, s := range segs[i:j] {
+				data = append(data, s.Data...)
+			}
+			run.Data = data
+		}
+		out = append(out, run)
+		i = j
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package romio
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -402,6 +403,52 @@ func TestCoalesce(t *testing.T) {
 	}
 	if out[0].Data[49] != 1 || out[0].Data[50] != 3 || out[0].Data[100] != 2 {
 		t.Fatal("coalesced data out of order")
+	}
+}
+
+// TestCoalesceCopiesEachRunOnce merges many adjacent pieces: the merged
+// bytes are the pieces' concatenation, the callers' buffers are left
+// untouched, each data run costs one allocation, and data-less runs
+// coalesce without allocating beyond the output slice.
+func TestCoalesceCopiesEachRunOnce(t *testing.T) {
+	const k = 50
+	mk := func(withData bool) (segs []pvfs.Segment, want []byte, orig [][]byte) {
+		for i := k - 1; i >= 0; i-- { // reverse order: coalesce sorts
+			s := pvfs.Segment{Offset: int64(i) * 7, Length: 7}
+			if withData {
+				s.Data = pattern(s.Offset, 7)
+				orig = append(orig, append([]byte(nil), s.Data...))
+			}
+			segs = append(segs, s)
+		}
+		return segs, pattern(0, k*7), orig
+	}
+	segs, want, orig := mk(true)
+	out := coalesce(segs)
+	if len(out) != 1 || out[0].Offset != 0 || out[0].Length != k*7 {
+		t.Fatalf("coalesced to %+v, want one run [0, %d)", out, k*7)
+	}
+	if !bytes.Equal(out[0].Data, want) {
+		t.Fatal("merged data is not the concatenation of the pieces")
+	}
+	for _, s := range segs {
+		if !bytes.Equal(s.Data, orig[k-1-int(s.Offset/7)]) {
+			t.Fatalf("input piece at %d was mutated", s.Offset)
+		}
+	}
+	bare, _, _ := mk(false)
+	if out := coalesce(bare); len(out) != 1 || out[0].Length != k*7 || out[0].Data != nil {
+		t.Fatalf("data-less pieces coalesced to %+v", out)
+	}
+	// Baseline: the sort alone (sort.Slice boxes its arguments).
+	sorting := testing.AllocsPerRun(20, func() {
+		sort.Slice(bare, func(i, j int) bool { return bare[i].Offset < bare[j].Offset })
+	})
+	if a := testing.AllocsPerRun(20, func() { coalesce(bare) }); a != sorting+1 {
+		t.Fatalf("coalescing data-less pieces allocates %v times, want %v (sort + output slice)", a, sorting+1)
+	}
+	if a := testing.AllocsPerRun(20, func() { coalesce(segs) }); a != sorting+2 {
+		t.Fatalf("coalescing one data run allocates %v times, want %v (sort + output slice + one run copy)", a, sorting+2)
 	}
 }
 

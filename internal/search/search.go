@@ -12,6 +12,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"s3asim/internal/des"
@@ -186,13 +187,74 @@ func (w *Workload) TaskBytes(q, f int) int64 {
 	return n
 }
 
-// ResultData deterministically materializes the bytes of one result, for
-// data-capture verification runs. The content depends only on
-// (seed, query, index).
+// Result content is counter-based: word k (bytes [8k, 8k+8), little-endian)
+// of result (q, index) is SplitMix64(key + k), where key is the substream
+// seed DeriveSeed(seed^0x5EED, q, index). The content depends only on
+// (seed, query, index), and any byte range can be produced or checked in
+// place, without generating the bytes before it and without allocating.
+
+// resultKey returns the content key of result (q, index).
+func (w *Workload) resultKey(q, index int) uint64 {
+	return uint64(stats.DeriveSeed(w.Spec.Seed^0x5EED, int64(q), int64(index)))
+}
+
+// contentWord returns word k of the content with the given key, as stored.
+func contentWord(key, k uint64) (b [8]byte) {
+	binary.LittleEndian.PutUint64(b[:], stats.SplitMix64(key+k))
+	return b
+}
+
+// FillResult writes bytes [off, off+len(dst)) of result (q, index) into dst,
+// for data-capture verification runs.
+func (w *Workload) FillResult(q, index int, off int64, dst []byte) {
+	key := w.resultKey(q, index)
+	k := uint64(off >> 3)
+	if r := off & 7; r != 0 && len(dst) > 0 {
+		b := contentWord(key, k)
+		dst = dst[copy(dst, b[r:]):]
+		k++
+	}
+	for ; len(dst) >= 8; k++ {
+		binary.LittleEndian.PutUint64(dst, stats.SplitMix64(key+k))
+		dst = dst[8:]
+	}
+	if len(dst) > 0 {
+		b := contentWord(key, k)
+		copy(dst, b[:])
+	}
+}
+
+// MatchRange reports whether got equals bytes [off, off+len(got)) of result
+// (q, index), comparing every byte exactly. Callers check the length.
+func (w *Workload) MatchRange(q, index int, off int64, got []byte) bool {
+	key := w.resultKey(q, index)
+	k := uint64(off >> 3)
+	if r := int(off & 7); r != 0 && len(got) > 0 {
+		b := contentWord(key, k)
+		n := min(8-r, len(got))
+		if string(got[:n]) != string(b[r:r+n]) {
+			return false
+		}
+		got = got[n:]
+		k++
+	}
+	for ; len(got) >= 8; k++ {
+		if binary.LittleEndian.Uint64(got) != stats.SplitMix64(key+k) {
+			return false
+		}
+		got = got[8:]
+	}
+	if len(got) > 0 {
+		b := contentWord(key, k)
+		return string(got) == string(b[:len(got)])
+	}
+	return true
+}
+
+// ResultData materializes the bytes of one result into a fresh slice.
 func (w *Workload) ResultData(q, index int, size int64) []byte {
-	rng := stats.SubRand(w.Spec.Seed^0x5EED, int64(q), int64(index))
 	b := make([]byte, size)
-	rng.Read(b)
+	w.FillResult(q, index, 0, b)
 	return b
 }
 

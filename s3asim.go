@@ -357,8 +357,8 @@ const (
 
 // Verified read path (internal/core/readback.go, DESIGN.md §14): writers
 // fill result segments with seeded pseudo-random bytes, and verifiers read
-// committed extents back through a real ADIO read strategy, comparing
-// content hashes against independently regenerated expected bytes. Attach
+// committed extents back through a real ADIO read strategy, comparing every
+// byte exactly against the written or generated content. Attach
 // via Config.Readback (requires Config.CaptureData).
 type ReadbackConfig = core.ReadbackConfig
 
