@@ -338,7 +338,7 @@ func (rt *runtime) batchStrat(om offsetMsg) Strategy {
 // adaptTaskStrat returns query q's strategy, deciding its batch's arm on
 // first use (the master calls this when dispatching a query's first
 // fragment; later fragments and batch-mates reuse the decision). Runs on the
-// master only, so the decision sequence is identical across worker engines.
+// master only, so the decision sequence does not depend on worker scheduling.
 func (rt *runtime) adaptTaskStrat(g *group, q int) Strategy {
 	ad := rt.ad
 	gb := g.batchBase + (q-g.loQ)/rt.cfg.QueriesPerWrite

@@ -8,6 +8,7 @@ import (
 
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
+	"s3asim/internal/romio"
 	"s3asim/internal/stats"
 )
 
@@ -88,6 +89,18 @@ func fingerprint(rep *Report) string {
 		fmt.Fprintf(&b, "srv%d req=%d segs=%d bytes=%d busy=%d qw=%d\n",
 			i, s.Requests, s.Segments, s.BytesWritten, s.Busy, s.QueueWait)
 	}
+	// Mode-specific observables appear only when the mode is on, so the
+	// rows pinned before these sections existed keep their hashes.
+	if rep.ReadbackReads > 0 {
+		fmt.Fprintf(&b, "readback reads=%d extents=%d bytes=%d mismatches=%d\n",
+			rep.ReadbackReads, rep.ReadbackExtents, rep.ReadbackBytes, rep.ReadbackMismatches)
+	}
+	for _, q := range rep.Queries {
+		fmt.Fprintf(&b, "query %+v\n", q)
+	}
+	if ad := rep.Adaptive; ad != nil {
+		fmt.Fprintf(&b, "adaptive %+v\n", *ad)
+	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
@@ -95,10 +108,22 @@ func fingerprint(rep *Report) string {
 // pre-rewrite kernel; events is the calendar-entry count of the CURRENT
 // kernel (pinned so count changes are always deliberate), with the
 // pre-rewrite count kept alongside to document the delta.
+//
+// Rows with a mutate func pin paths the strategy × sync matrix does not
+// reach: mutate edits goldenConfig (or replaces it with a mode's own test
+// configuration). They were captured while a goroutine worker engine still
+// existed beside the state-machine one, from runs on which both engines
+// agreed event for event, so they hold the remaining engine to that
+// behavior. Three of those cross-engine variants — WW-List with sync, the
+// MW sync-token wait, WW-Coll two-phase — are the same configurations as
+// matrix rows, so their rows pin the matrix rows' fingerprints under the
+// names the cross-engine runs used.
 type goldenCase struct {
 	strategy  Strategy
 	sync      bool
 	faulted   bool
+	name      string
+	mutate    func(c *Config)
 	hash      string
 	events    uint64 // current kernel (batched broadcast, revived timers)
 	oldEvents uint64 // pre-rewrite kernel (one event per broadcast waiter)
@@ -132,21 +157,138 @@ var goldenCases = []goldenCase{
 	{strategy: WWList, sync: false, faulted: true,
 		hash:   "9813d53a3456195aca4f103bcd4204e48fe4006a3e642b7a3333948adb4c394f",
 		events: 20672, oldEvents: 22014},
+
+	// The cross-engine variants that coincide with matrix rows.
+	{name: "WW-List_sync", mutate: func(c *Config) {
+		c.Strategy = WWList
+		c.QuerySync = true
+	},
+		hash:   "0fc6eedc777656b68774f857cdfcbdc03fe1e462df54ae6411206efef1e08e32",
+		events: 19897},
+	{name: "MW_sync_token", mutate: func(c *Config) {
+		c.Strategy = MW
+		c.QuerySync = true
+	},
+		hash:   "e25ec2d7228e0e445e6a1cbce579eb3299129ee435f619c8759bc271be154737",
+		events: 6200},
+	{name: "WW-Coll_two-phase", mutate: func(c *Config) { c.Strategy = WWColl },
+		hash:   "1c072fd527ced4dc6f8b5573f3e0d8cb1483e469f26e8c6bb3455acd5d909279",
+		events: 21307},
+
+	// The list-sync collective, the initial database load, the
+	// query-segmentation re-read, hybrid query groups, and sieved
+	// individual writes.
+	{name: "WW-Coll_list-sync", mutate: func(c *Config) {
+		c.Strategy = WWColl
+		c.CollMethod = romio.ListSync
+	},
+		hash:   "f8f8080865fc791996664f526574cd968017ed3707bcd6be1c6a179afc5390fd",
+		events: 20465},
+	{name: "WW-POSIX_db-load", mutate: func(c *Config) {
+		c.Strategy = WWPosix
+		c.DatabaseBytes = 64 << 20
+	},
+		hash:   "6ecaf3381f7c4c147e7a66300809e3f76d92aabf178e54810985edb781efa326",
+		events: 27328},
+	{name: "MW_query-seg_reread", mutate: func(c *Config) {
+		c.Strategy = MW
+		c.Segmentation = QuerySeg
+		c.DatabaseBytes = 1 << 20
+		c.WorkerMemoryBytes = 512 << 10
+	},
+		hash:   "054fef83161676e88ab817af12886a790ed668714278d456c09ffb9c9879244e",
+		events: 2878},
+	{name: "WW-List_query-groups", mutate: func(c *Config) {
+		c.Strategy = WWList
+		c.QueryGroups = 2
+	},
+		hash:   "508a4877a0b6e99cc2e8aadec37f60ca71a50dacc3e0ecd7d3d139d1479b688e",
+		events: 12585},
+	{name: "WW-List_sieve", mutate: func(c *Config) {
+		c.Strategy = WWList
+		c.OverrideIndMethod = true
+		c.IndMethod = romio.DataSieve
+	},
+		hash:   "4c5940fdcaeccae8f8306ed61bfd4aed916b96b23db51d53c74ca7e9cd802357",
+		events: 41432},
+
+	// The verified read path: in-run list-I/O readback after every strategy's
+	// write (collectively after WW-Coll's collective round in the last row)
+	// plus the post-run pass; the readback counters are in the fingerprint.
+	{name: "readback_MW", mutate: readbackRow(MW, false),
+		hash:   "73d4c08f66af21344f0d84b926060881b7cd847cbfb67b61cc6e87d497af24fe",
+		events: 787},
+	{name: "readback_WW-POSIX", mutate: readbackRow(WWPosix, false),
+		hash:   "a1c24b82810c43f45275ba03ea20aa94c1dbf3c5904aa52f85698917a6f5a0a5",
+		events: 1709},
+	{name: "readback_WW-List", mutate: readbackRow(WWList, false),
+		hash:   "c0db15e8b86a878bfb68493b1aceb22e5e37b2a61d9654d932062ae07aad3b8f",
+		events: 1560},
+	{name: "readback_WW-Coll", mutate: readbackRow(WWColl, false),
+		hash:   "2d0d2b9746ba033b37e7bd0fec61b4208f26e45a493f0cef12f73866bf39651a",
+		events: 1916},
+	{name: "readback_WW-Coll_collective", mutate: readbackRow(WWColl, true),
+		hash:   "962406810d91b2f57854c7f56ce32c956d48073b4b26009751af8095a763d311",
+		events: 2092},
+
+	// Open-loop serving with query sync, including the Gate-based WW-Coll
+	// run-ahead check; every query's lifecycle stamps are in the fingerprint.
+	{name: "serve_MW", mutate: serveRow(MW),
+		hash:   "b4824c08afc825aacbd1ac3c5daf03160e18aa679956fb3e983124f6ae6544a9",
+		events: 1523},
+	{name: "serve_WW-POSIX", mutate: serveRow(WWPosix),
+		hash:   "dea114fea6f481888195507245fb326da17c619111c524b0cc146cdb8a2ac486",
+		events: 3459},
+	{name: "serve_WW-List", mutate: serveRow(WWList),
+		hash:   "e401514cd96d0a2f09761a91280ccd7481768e059693c41551e311673be30a21",
+		events: 3210},
+	{name: "serve_WW-Coll", mutate: serveRow(WWColl),
+		hash:   "ff9bbb2588c8cbdf1f815048ac298595a5d82eefbe50915634332a8a4c3aa0f6",
+		events: 3530},
+
+	// Closed-loop adaptive I/O: per-batch strategy and hints; the whole
+	// AdaptiveReport is in the fingerprint.
+	{name: "adaptive", mutate: func(c *Config) { *c = adaptiveConfig() },
+		hash:   "f57a4ffef4eff305f649b0b190a8d2736a15bb5a05e10da8de61fd7ce5f5b59c",
+		events: 8209},
+}
+
+// readbackRow configures a verified-read-path golden row.
+func readbackRow(s Strategy, collective bool) func(c *Config) {
+	return func(c *Config) {
+		*c = readbackConfig(s, romio.ListIO)
+		c.Readback.Collective = collective
+	}
+}
+
+// serveRow configures a serving golden row.
+func serveRow(s Strategy) func(c *Config) {
+	return func(c *Config) {
+		*c = serveConfig(2 * des.Millisecond)
+		c.Strategy = s
+		c.QuerySync = true
+	}
 }
 
 // TestKernelGoldenBehavior runs the mid-scale matrix (all four strategies ×
-// both sync modes, plus one faulted resilient run) and checks every
-// virtual-time observable against the pre-rewrite kernel, plus the pinned
-// calendar-entry counts.
+// both sync modes, plus one faulted resilient run) and the mode rows, and
+// checks every virtual-time observable against its pinned fingerprint,
+// plus the pinned calendar-entry counts.
 func TestKernelGoldenBehavior(t *testing.T) {
 	for _, gc := range goldenCases {
-		name := fmt.Sprintf("%s_sync=%v_faulted=%v", gc.strategy, gc.sync, gc.faulted)
+		name := gc.name
+		if name == "" {
+			name = fmt.Sprintf("%s_sync=%v_faulted=%v", gc.strategy, gc.sync, gc.faulted)
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := goldenConfig()
 			cfg.Strategy = gc.strategy
 			cfg.QuerySync = gc.sync
 			if gc.faulted {
 				cfg.FaultPlan = goldenFaultPlan()
+			}
+			if gc.mutate != nil {
+				gc.mutate(&cfg)
 			}
 			rep := mustRun(t, cfg)
 			got := fingerprint(rep)

@@ -127,32 +127,6 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte, res
 	}
 }
 
-// rbInRunWorker is the worker-side in-run verifier: immediately after a
-// batch write is stamped durable, re-read the just-written segments through
-// the configured read strategy InRunReads times and verify each pass.
-// collective marks a write that went through the (untainted) collective
-// round, making a collective readback round legal.
-func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []pvfs.Segment, collective bool) {
-	rb := rt.rb
-	if rb == nil || rb.conf.InRunReads == 0 {
-		return
-	}
-	useColl := collective && rb.conf.Collective
-	if !useColl && len(segs) == 0 {
-		return
-	}
-	pt.Switch(PhaseIO)
-	for i := 0; i < rb.conf.InRunReads; i++ {
-		var got [][]byte
-		if useColl {
-			got = g.collGroup.ReadAll(r, segs)
-		} else {
-			got = rt.file.ReadSegs(r, rb.conf.Method, segs)
-		}
-		rt.rbVerify(r.Proc().Name(), segs, got, nil)
-	}
-}
-
 // rbInRunMaster is the MW in-run verifier: the master re-reads the batch
 // region it just wrote and verifies it against the merged image.
 func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch, data []byte) {

@@ -11,10 +11,10 @@ import (
 )
 
 // This file implements the resilient master side of the self-healing
-// protocol (DESIGN.md §9). It runs instead of master()/worker() whenever
-// the configuration carries a fault plan (or Resilient is forced), so the
-// original protocol stays byte-for-byte untouched — the empty-plan
-// bit-identity guarantee.
+// protocol (DESIGN.md §9). It and rworkerFSM (resilient_worker.go) run
+// instead of master()/workerFSM whenever the configuration carries a fault
+// plan (or Resilient is forced), so the original protocol stays
+// byte-for-byte untouched — the empty-plan bit-identity guarantee.
 //
 // Recovery model in one paragraph: workers fail-stop at protocol
 // checkpoints only (never inside a barrier, a collective round, or between
@@ -30,6 +30,34 @@ import (
 // and the WW-Coll collective group; once any collective participant dies,
 // the group is tainted and all subsequent batches fall back to individual
 // list I/O (WW-List behavior) rather than deadlock.
+
+// Runtime glue shared by rmaster and rworkerFSM.
+
+// noteEnd records one protocol actor's clean exit (the resilient protocol's
+// replacement for the global final barrier: the run ends when the event
+// calendar drains, and this counter is the audit trail).
+func (rt *runtime) noteEnd() { rt.ended++ }
+
+// fail records the first unrecoverable failure; RunWithWorkload surfaces it
+// after the simulation drains.
+func (rt *runtime) fail(err error) {
+	if rt.runErr == nil {
+		rt.runErr = err
+	}
+}
+
+// count bumps a run counter.
+func (rt *runtime) count(name string, delta int64) { rt.metrics.Add(name, delta) }
+
+// observeTime records one virtual-time sample.
+func (rt *runtime) observeTime(name string, t des.Time) { rt.metrics.ObserveTime(name, t) }
+
+// pointf emits an instantaneous marker on the fault timeline.
+func (rt *runtime) pointf(format string, args ...any) {
+	if s := rt.cfg.sink(); s != nil {
+		s.Point("faults", fmt.Sprintf(format, args...), rt.sim.Now())
+	}
+}
 
 // rlease is the master's outstanding-task record for one worker.
 type rlease struct {
@@ -207,11 +235,12 @@ func (rt *runtime) rmDone(m *rmasterState) bool {
 }
 
 // rmNextDeadline picks the earliest of the detector sweep, lease expiries,
-// and ack-debt expiries — the master's next forced wake-up.
+// and ack-debt expiries — the master's next forced wake-up. A minimum does
+// not depend on visiting order, so the maps are scanned unsorted.
 func (rt *runtime) rmNextDeadline(m *rmasterState) des.Time {
 	d := m.nextSweep
-	for _, w := range sortedKeysLease(m.leases) {
-		if l := m.leases[w]; l.deadline < d {
+	for _, l := range m.leases {
+		if l.deadline < d {
 			d = l.deadline
 		}
 	}
@@ -219,9 +248,9 @@ func (rt *runtime) rmNextDeadline(m *rmasterState) des.Time {
 		if !b.sent || b.durable {
 			continue
 		}
-		for _, k := range sortedDebtKeys(b.owed) {
-			if dd := b.owed[k].deadline; dd < d {
-				d = dd
+		for _, debt := range b.owed {
+			if debt.deadline < d {
+				d = debt.deadline
 			}
 		}
 	}
@@ -551,7 +580,7 @@ func (rt *runtime) rmExpireAcks(r *mpi.Rank, m *rmasterState) {
 	cfg := rt.cfg
 	now := r.Now()
 	for _, b := range m.batches {
-		if !b.sent || b.durable {
+		if !b.sent || b.durable || !anyExpired(b.owed, now) {
 			continue
 		}
 		for _, k := range sortedDebtKeys(b.owed) {
@@ -573,6 +602,17 @@ func (rt *runtime) rmExpireAcks(r *mpi.Rank, m *rmasterState) {
 			rt.count("fault.offset_resends", 1)
 		}
 	}
+}
+
+// anyExpired reports whether any owed ack is past its deadline, so the
+// common nothing-expired pass skips sorting the debts.
+func anyExpired(owed map[debtKey]rdebt, now des.Time) bool {
+	for _, d := range owed {
+		if d.deadline <= now {
+			return true
+		}
+	}
+	return false
 }
 
 // placementTasks lists the distinct (query, fragment) tasks behind a
@@ -766,8 +806,10 @@ func (rt *runtime) rmCheckStuck(r *mpi.Rank, m *rmasterState) {
 	if rt.runErr != nil || rt.rmDone(m) {
 		return
 	}
-	if len(sortedLive(m.live)) > 0 {
-		return
+	for _, ok := range m.live {
+		if ok {
+			return
+		}
 	}
 	if rt.faults != nil && rt.faults.RestartPending() {
 		return

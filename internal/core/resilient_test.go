@@ -7,6 +7,7 @@ import (
 
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
+	"s3asim/internal/romio"
 )
 
 // TestResilientFaultFreeAllStrategies runs the recovery protocol with an
@@ -285,5 +286,44 @@ func TestChaosUnrecoverable(t *testing.T) {
 	cfg.FaultPlan = &fault.Plan{Seed: 17, Events: evs}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected an unrecoverable-run error, got success")
+	}
+}
+
+// TestResilientAtScale runs the recovery protocol at 1,000 ranks with
+// random crash+restart faults: every worker is a state machine, so the
+// crashed ranks die at checkpoints, respawn as fresh machines, and the run
+// must still end verified — exactly-once coverage and zero readback
+// mismatches.
+func TestResilientAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,000-rank resilient cell")
+	}
+	const procs = 1000
+	cfg := ScaleConfig(procs)
+	cfg.Workload.NumQueries = 4 // keeps the master's per-wake scans short
+	cfg.CaptureData = true
+	cfg.Readback = &ReadbackConfig{Method: romio.ListIO, InRunReads: 1, PostRun: true}
+	workers := make([]int, 0, procs-1)
+	for w := 1; w < procs; w++ {
+		workers = append(workers, w)
+	}
+	const crashes = 4
+	cfg.FaultPlan = fault.RandomCrashes(11, crashes, workers,
+		200*des.Millisecond, 3*des.Second, 20*des.Millisecond)
+	rep := mustRun(t, cfg)
+	if !rep.Verified {
+		t.Fatal("image not verified")
+	}
+	if rep.FileCoverage != rep.OutputBytes || rep.OverlappedBytes != 0 {
+		t.Fatalf("coverage %d of %d bytes, %d overlapped: not exactly once",
+			rep.FileCoverage, rep.OutputBytes, rep.OverlappedBytes)
+	}
+	if rep.ReadbackMismatches != 0 || rep.ReadbackReads == 0 {
+		t.Fatalf("readback mismatches=%d reads=%d", rep.ReadbackMismatches, rep.ReadbackReads)
+	}
+	c := rep.Metrics.Counters
+	if c["fault.crashes"] != crashes || c["fault.workers_rejoined"] == 0 {
+		t.Fatalf("crashes=%d rejoined=%d: the plan did not take effect",
+			c["fault.crashes"], c["fault.workers_rejoined"])
 	}
 }

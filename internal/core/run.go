@@ -283,29 +283,22 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		if resilient {
 			world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
 				func(r *mpi.Rank) { rt.rmaster(r, g) })
-			for _, w := range g.workers {
-				w := w
-				world.Spawn(w, fmt.Sprintf("worker%d", w),
-					func(r *mpi.Rank) { rt.rworker(r, g, false) })
-			}
-			continue
+		} else {
+			world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
+				func(r *mpi.Rank) { rt.master(r, g) })
 		}
-		world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
-			func(r *mpi.Rank) { rt.master(r, g) })
+		// Workers run as pooled state machines: a blocked worker is one
+		// struct, not a goroutine stack, so rank counts in the hundreds of
+		// thousands fit in ordinary heaps. Masters keep goroutine form —
+		// there is one per group and their protocol code stays readable
+		// that way.
 		for _, w := range g.workers {
-			w := w
-			if cfg.fsmWorkers() {
-				// The steady-state worker loop runs as a pooled state
-				// machine: a blocked worker is one struct, not a goroutine
-				// stack, so rank counts in the hundreds of thousands fit in
-				// ordinary heaps. Masters keep goroutine form — there is one
-				// per group and their protocol code stays readable that way.
-				world.SpawnFSM(w, fmt.Sprintf("worker%d", w),
-					&workerFSM{rt: rt, g: g, r: world.Rank(w)})
-				continue
+			name := fmt.Sprintf("worker%d", w)
+			if resilient {
+				world.SpawnFSM(w, name, rt.newRWorkerFSM(g, w, false))
+			} else {
+				world.SpawnFSM(w, name, rt.newWorkerFSM(g, w))
 			}
-			world.Spawn(w, fmt.Sprintf("worker%d", w),
-				func(r *mpi.Rank) { rt.worker(r, g) })
 		}
 	}
 	if err := sim.Run(); err != nil {

@@ -40,13 +40,12 @@ func TestScaleWorkers10kSmoke(t *testing.T) {
 //	memB/rank   — peak sampled memory (heap + goroutine stacks) divided
 //	              by rank count, the per-rank footprint the FSM worker
 //	              engine exists to shrink (acceptance: 100k ranks within
-//	              ~2 GB). Stack memory is counted because under
-//	              ProcGoroutine it is the dominant per-rank cost and it
-//	              does not appear in HeapAlloc.
+//	              ~2 GB). Stack memory is counted because goroutine
+//	              processes (the masters, the sweep harness) keep their
+//	              stacks outside HeapAlloc.
 //
 // The workload is generated once outside the timed region, so the numbers
-// are the simulation engine's alone. Compare ProcModel effects with
-// -benchtime against a copy run under ProcGoroutine.
+// are the simulation engine's alone.
 func BenchmarkScaleWorkers(b *testing.B) {
 	for _, ranks := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {

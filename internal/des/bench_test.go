@@ -158,6 +158,27 @@ func BenchmarkTimedWaitRearm(b *testing.B) {
 	}
 }
 
+// BenchmarkTimedWaitRearmFSM is BenchmarkTimedWaitRearm with the waiter as
+// a state machine: the arm half parks, the resuming Step reads the outcome
+// through WaitUntilResult, and the next arm revives the tombstoned timer.
+func BenchmarkTimedWaitRearmFSM(b *testing.B) {
+	s := New()
+	cond := s.NewSignal()
+	deadline := Time(b.N+1) * Microsecond * 2
+	s.SpawnFSM("waiter", &timedWaiterFSM{cond: cond, next: fixedDeadline(deadline), n: b.N})
+	s.Spawn("waker", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			cond.Signal()
+			p.Sleep(Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkBroadcastFanout measures waking a full wait list: 32 processes
 // park on one condition, a caster broadcasts, everyone loops. Each
 // broadcast is one batched calendar event (the pre-rewrite kernel queued

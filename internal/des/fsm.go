@@ -28,9 +28,12 @@ import "unsafe"
 //     top of its state and re-parks when it still fails. The kernel enqueues
 //     the same waiter records in the same order either way, so a ported loop
 //     is event-for-event identical to its goroutine form.
-//   - Gate.Wait and Signal.WaitUntil hide predicate loops a stackless body
-//     cannot express, so they panic for FSM processes; use Gate.Park (with
-//     the re-check pattern above) and plain Wait instead.
+//   - Signal.WaitUntil arms a timed park like any other primitive; the
+//     machine reads its outcome with p.WaitUntilResult() on the Step that
+//     resumes it (the goroutine form gets it as WaitUntil's return value).
+//   - Gate.Wait hides a predicate loop a stackless body cannot express, so
+//     it panics for FSM processes; use Gate.Park with the re-check pattern
+//     above instead.
 //
 // Machines run only while the kernel dispatches their process, so — like
 // goroutine bodies — they need no locking.

@@ -311,15 +311,183 @@ func TestFSMDoubleParkPanics(t *testing.T) {
 	mustPanic(t, s, "blocked twice in one step")
 }
 
-type waitUntilFSM struct{ cond *Signal }
+// timedWaiterFSM runs n timed waits on cond, each with the deadline next
+// returns (forever when n < 0), logging every outcome — the FSM form of the
+// goroutine loop
+//
+//	for i := 0; i < n; i++ {
+//		log(cond.WaitUntil(p, next(p)))
+//	}
+type timedWaiterFSM struct {
+	cond   *Signal
+	next   func(p *Proc) Time
+	n      int
+	parked bool
+	log    *[]string
+}
 
-func (m *waitUntilFSM) Step(p *Proc) { m.cond.WaitUntil(p, Hour) }
+func (m *timedWaiterFSM) Step(p *Proc) {
+	for {
+		if m.parked {
+			m.parked = false
+			m.record(p, p.WaitUntilResult())
+		}
+		if m.n == 0 {
+			return
+		}
+		m.n--
+		ok := m.cond.WaitUntil(p, m.next(p))
+		if p.Yielded() {
+			m.parked = true
+			return
+		}
+		m.record(p, ok)
+	}
+}
 
-// TestFSMWaitUntilPanics: timed waits are goroutine-only.
-func TestFSMWaitUntilPanics(t *testing.T) {
+func (m *timedWaiterFSM) record(p *Proc, ok bool) {
+	if m.log != nil {
+		*m.log = append(*m.log, fmt.Sprintf("%d:%v", p.Now(), ok))
+	}
+}
+
+func fixedDeadline(d Time) func(*Proc) Time { return func(*Proc) Time { return d } }
+
+// TestFSMWaitUntilTimeout: with no signal, an FSM timed wait resumes at its
+// deadline and reports a timeout; a deadline already past returns false
+// without parking.
+func TestFSMWaitUntilTimeout(t *testing.T) {
 	s := New()
-	s.SpawnFSM("bad", &waitUntilFSM{cond: s.NewSignal()})
-	mustPanic(t, s, "WaitUntil is not supported for FSM processes")
+	var log []string
+	s.SpawnFSM("w", &timedWaiterFSM{cond: s.NewSignal(), next: fixedDeadline(5 * Microsecond), n: 2, log: &log})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(log, " "); got != "5000:false 5000:false" {
+		t.Fatalf("outcomes %q, want a timeout at 5µs then an immediate one", got)
+	}
+	if s.PendingEvents() != 0 {
+		t.Fatalf("%d events left queued", s.PendingEvents())
+	}
+}
+
+// TestFSMWaitUntilSignalWins: a signal before the deadline wakes the FSM
+// waiter with true, and the tombstoned deadline is reclaimed without waking
+// it again.
+func TestFSMWaitUntilSignalWins(t *testing.T) {
+	s := New()
+	cond := s.NewSignal()
+	var log []string
+	s.SpawnFSM("w", &timedWaiterFSM{cond: cond, next: fixedDeadline(Millisecond), n: 1, log: &log})
+	s.Spawn("waker", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		cond.Signal()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(log, " "); got != "2000:true" {
+		t.Fatalf("outcomes %q, want a signal wake at 2µs", got)
+	}
+	if s.Now() != Millisecond {
+		t.Fatalf("run ended at %v; the tombstoned deadline should still pop at 1ms", s.Now())
+	}
+}
+
+// TestFSMWaitUntilCalendarDoesNotLeak is the FSM twin of
+// TestWaitUntilCalendarDoesNotLeak: re-arming at the same deadline after
+// every signal win revives the tombstoned timer instead of queueing another.
+func TestFSMWaitUntilCalendarDoesNotLeak(t *testing.T) {
+	const waits = 10000
+	s := New()
+	cond := s.NewSignal()
+	maxPending := 0
+	var log []string
+	s.SpawnFSM("waiter", &timedWaiterFSM{cond: cond, n: waits, log: &log,
+		next: func(p *Proc) Time {
+			if n := s.PendingEvents(); n > maxPending {
+				maxPending = n
+			}
+			return Hour
+		}})
+	s.Spawn("waker", func(p *Proc) {
+		for i := 0; i < waits; i++ {
+			cond.Signal()
+			p.Sleep(Microsecond)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(log, " "); strings.Contains(got, "false") {
+		t.Fatal("a wait timed out; the signal should always win")
+	}
+	if maxPending > 8 {
+		t.Fatalf("calendar grew to %d pending entries across %d signal-won timed waits, want <= 8",
+			maxPending, waits)
+	}
+}
+
+// TestFSMTimedWaitSteadyStateAllocs pins the FSM timed re-arm path (timer
+// revival plus the resume half) at zero allocations.
+func TestFSMTimedWaitSteadyStateAllocs(t *testing.T) {
+	s := New()
+	cond := s.NewSignal()
+	s.SpawnFSM("waiter", &timedWaiterFSM{cond: cond, next: fixedDeadline(Hour), n: -1})
+	s.Spawn("waker", func(p *Proc) {
+		for {
+			cond.Signal()
+			p.Sleep(Microsecond)
+		}
+	})
+	if allocs := kernelSteadyStateAllocs(t, s, 8*Microsecond); allocs != 0 {
+		t.Fatalf("steady-state FSM timed waits allocated %.1f/run, want 0", allocs)
+	}
+}
+
+// TestTimedWaitEnginesEquivalent: a goroutine body and an FSM body running
+// the same timed waits — a moving deadline that the signal wins about half
+// the time — see the same outcomes at the same instants and dispatch the
+// same number of calendar events.
+func TestTimedWaitEnginesEquivalent(t *testing.T) {
+	const waits = 40
+	next := func(p *Proc) Time { return p.Now() + 2*Microsecond }
+	run := func(fsm bool) ([]string, uint64) {
+		s := New()
+		cond := s.NewSignal()
+		var log []string
+		if fsm {
+			s.SpawnFSM("w", &timedWaiterFSM{cond: cond, next: next, n: waits, log: &log})
+		} else {
+			s.Spawn("w", func(p *Proc) {
+				for i := 0; i < waits; i++ {
+					ok := cond.WaitUntil(p, next(p))
+					log = append(log, fmt.Sprintf("%d:%v", p.Now(), ok))
+				}
+			})
+		}
+		s.Spawn("waker", func(p *Proc) {
+			for i := 0; i < waits; i++ {
+				p.Sleep(3 * Microsecond)
+				cond.Signal()
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, s.Events()
+	}
+	glog, gev := run(false)
+	flog, fev := run(true)
+	if g, f := strings.Join(glog, " "), strings.Join(flog, " "); g != f {
+		t.Fatalf("outcomes diverged:\n goroutine %s\n fsm       %s", g, f)
+	}
+	if gev != fev {
+		t.Fatalf("calendar events diverged: goroutine %d, fsm %d", gev, fev)
+	}
+	if !strings.Contains(strings.Join(glog, " "), "true") || !strings.Contains(strings.Join(glog, " "), "false") {
+		t.Fatalf("outcomes %v should mix signal wins and timeouts", glog)
+	}
 }
 
 type gateWaitFSM struct{ g *Gate }

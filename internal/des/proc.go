@@ -19,6 +19,9 @@ type Proc struct {
 	// already-queued evTimer entry instead of pushing another (see
 	// Signal.WaitUntil). Non-nil only while that entry is still queued.
 	timer *waiter
+	// twait is the waiter of the timed wait this process is parked in (or
+	// has just resumed from) until WaitUntilResult consumes it.
+	twait *waiter
 
 	done        bool
 	parked      bool // an FSM park is armed; cleared by stepFSM on resume
@@ -34,6 +37,7 @@ func (s *Simulation) newProc(name string) *Proc {
 		p = s.procPool[n-1]
 		s.procPool = s.procPool[:n-1]
 		p.timer = nil
+		p.twait = nil
 		p.done = false
 		p.parked = false
 		p.machine = nil
@@ -195,6 +199,13 @@ func (sig *Signal) Wait(p *Proc) {
 // woken by the signal, false on timeout. A deadline at or before the
 // present returns false without parking.
 //
+// WaitUntil is the arm half of the timed wait and WaitUntilResult its resume
+// half; one implementation serves both process kinds. A goroutine process
+// really blocks here, and WaitUntil returns WaitUntilResult's answer. For an
+// FSM process the call only arms the park: it returns false with p.Yielded()
+// true, and the machine reads the outcome with p.WaitUntilResult() on the
+// Step that resumes it.
+//
 // A signal wakeup leaves the deadline entry queued as a tombstone, but the
 // calendar cannot grow under the re-arm pattern of predicate loops (wake by
 // signal, re-check, wait again with the same deadline): re-arming while the
@@ -202,11 +213,6 @@ func (sig *Signal) Wait(p *Proc) {
 // entry, and a tombstone that does reach its deadline is skipped and
 // reclaimed.
 func (sig *Signal) WaitUntil(p *Proc, deadline Time) bool {
-	if p.machine != nil {
-		// The revive-and-repark protocol is a predicate loop a stackless
-		// machine cannot express; timed waits stay on goroutine processes.
-		panic("des: WaitUntil is not supported for FSM processes")
-	}
 	s := sig.sim
 	if deadline <= s.now {
 		return false
@@ -225,11 +231,28 @@ func (sig *Signal) WaitUntil(p *Proc, deadline Time) bool {
 		s.push(deadline, evTimer, unsafe.Pointer(w))
 	}
 	sig.enqueue(w)
+	p.twait = w
 	p.park("waiting on signal (timed)")
+	if p.parked {
+		return false // FSM: the resuming Step reads WaitUntilResult
+	}
+	return p.WaitUntilResult()
+}
+
+// WaitUntilResult is the resume half of WaitUntil: it reports whether the
+// timed wait p resumed from ended by a signal (true) or by its deadline
+// (false), and releases the wait's record. An FSM machine calls it exactly
+// once, on the Step that resumes from a WaitUntil park.
+func (p *Proc) WaitUntilResult() bool {
+	w := p.twait
+	if w == nil {
+		panic("des: WaitUntilResult on " + p.name + " without a parked timed wait")
+	}
+	p.twait = nil
 	if w.timedOut {
 		// The deadline entry fired and is consumed; the kernel already
 		// unlinked the waiter and cleared p.timer.
-		s.putWaiter(w)
+		p.sim.putWaiter(w)
 		return false
 	}
 	return true

@@ -332,7 +332,7 @@ func (s *Simulation) dispatch(e *event) {
 		w.timedOut = true
 		w.sig.unlink(w)
 		s.transferTo(w.p)
-		// The waiter is reclaimed by WaitUntil once it reads timedOut.
+		// The waiter is reclaimed by WaitUntilResult once it reads timedOut.
 	case evStart:
 		p := (*Proc)(e.arg)
 		if p.machine != nil {

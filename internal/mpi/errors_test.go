@@ -54,14 +54,26 @@ func TestProtocolErrorSpawnTwice(t *testing.T) {
 
 func TestProtocolErrorRespawnMisuse(t *testing.T) {
 	w := NewWorld(des.New(), 2, fastNet())
-	wantProto(t, "Respawn", func() { w.Respawn(0, "x", func(r *Rank) {}) })
+	wantProto(t, "Respawn", func() { w.Respawn(0, "x", stepFunc(func(p *des.Proc) {})) })
 
-	w.Spawn(0, "alive", func(r *Rank) {})
+	w.SpawnFSM(0, "alive", stepFunc(func(p *des.Proc) {}))
 	if err := w.Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 ran to completion but was never killed.
-	wantProto(t, "Respawn", func() { w.Respawn(0, "x", func(r *Rank) {}) })
+	wantProto(t, "Respawn", func() { w.Respawn(0, "x", stepFunc(func(p *des.Proc) {})) })
+
+	// Rank 1 is killed while its process is still parked mid-sleep.
+	slept := false
+	w.SpawnFSM(1, "sleeper", stepFunc(func(p *des.Proc) {
+		if !slept {
+			slept = true
+			p.Sleep(des.Second)
+		}
+	}))
+	w.Sim().RunUntil(des.Millisecond)
+	w.Kill(1)
+	wantProto(t, "Respawn", func() { w.Respawn(1, "x", stepFunc(func(p *des.Proc) {})) })
 }
 
 func TestProtocolErrorIsendOutsideWorld(t *testing.T) {

@@ -6,21 +6,21 @@ import (
 )
 
 // This file is the mpi layer's resumable-operation support: every blocking
-// composite (Wait, WaitAll, WaitAny, Barrier.Arrive, Team.Bcast) is
-// implemented as an op struct whose Step method drives the operation and
-// reports completion. Ops call the ordinary blocking primitives and check
-// p.Yielded() after each, so:
+// composite (Wait, WaitAll, WaitAny, the timed WaitEvent, Barrier.Arrive,
+// Team.Bcast) is implemented as an op struct whose Step method drives the
+// operation and reports completion. Ops call the ordinary blocking
+// primitives and check p.Yielded() after each, so:
 //
-//   - on a goroutine process the primitives really block and one Step call
-//     runs the whole operation — the classic blocking APIs are thin wrappers
-//     (Init + a single Step) over the same code;
-//   - on an FSM process (des.SpawnFSM) each Step advances to the next park
-//     and returns false, and the parent machine re-enters it on resume.
+//   - on an FSM process (des.SpawnFSM) — every simulation worker — each Step
+//     advances to the next park and returns false, and the parent machine
+//     re-enters it on resume;
+//   - on a goroutine process (the masters) the primitives really block and
+//     one Step call runs the whole operation — the classic blocking APIs are
+//     thin wrappers (Init + a single Step) over the same code.
 //
-// One implementation serves both process kinds, which is what keeps the FSM
-// engine event-for-event identical to the goroutine engine: the waiter
-// enqueues, calendar pushes, and causal records happen in exactly the same
-// order either way.
+// One implementation serves both process kinds: the waiter enqueues,
+// calendar pushes, and causal records happen in exactly the same order
+// either way, so a rank's schedule does not depend on its process kind.
 
 // SpawnFSM starts rank i's program as a resumable state machine on the
 // simulation kernel — the scale path that backs a blocked rank with one
@@ -142,6 +142,64 @@ func (op *WaitAnyOp) Step() bool {
 			return false
 		}
 	}
+}
+
+// WaitEventOp parks the rank until any of its requests completes, the rank
+// is woken out-of-band (World.WakeRank), or an optional absolute deadline
+// passes — the resilient worker's idle park and its timed protocol waits.
+// Callers re-check their predicates after every wake, as with Signal.Wait.
+// A wake at the instant a message arrived is recorded as a transit edge to
+// its sender; any other wake, and a timeout, is recovery time.
+type WaitEventOp struct {
+	r        *Rank
+	deadline des.Time
+	timed    bool
+	parked   bool
+	start    des.Time
+	// Woken reports whether the wait ended by a wake rather than by its
+	// deadline; valid once Step has returned true.
+	Woken bool
+}
+
+// Init arms a wait with no deadline.
+func (op *WaitEventOp) Init(r *Rank) {
+	op.r, op.timed, op.parked, op.start = r, false, false, r.Now()
+}
+
+// InitUntil arms a wait that gives up at the absolute time deadline. A
+// deadline at or before the present completes on the first Step with
+// Woken false.
+func (op *WaitEventOp) InitUntil(r *Rank, deadline des.Time) {
+	op.r, op.deadline, op.timed, op.parked, op.start = r, deadline, true, false, r.Now()
+}
+
+// Step drives the wait; it returns true once the rank has woken or timed
+// out, false when the process parked (FSM processes only).
+func (op *WaitEventOp) Step() bool {
+	r := op.r
+	p := r.proc
+	switch {
+	case op.parked:
+		op.parked = false
+		op.Woken = !op.timed || p.WaitUntilResult()
+	case op.timed:
+		op.Woken = r.activity.WaitUntil(p, op.deadline)
+	default:
+		r.activity.Wait(p)
+		op.Woken = true
+	}
+	if p.Yielded() {
+		op.parked = true
+		return false
+	}
+	if c := r.w.causal; c != nil {
+		if op.Woken {
+			r.recordEventWake(c, op.start)
+		} else if end := r.Now(); end > op.start {
+			c.WaitPlain(p.Name(), op.start, end, causal.CatRecovery)
+		}
+	}
+	return true
 }
 
 // BarrierOp is Barrier.Arrive as a resumable operation. Init performs the

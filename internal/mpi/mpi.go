@@ -216,19 +216,19 @@ func (w *World) Kill(i int) {
 }
 
 // WakeRank broadcasts rank i's activity signal from kernel context, forcing
-// a rank blocked in WaitEvent/Wait loops to re-check its predicates — the
+// a rank blocked in WaitEventOp/Wait loops to re-check its predicates — the
 // fault injector uses it so an idle-parked worker observes its crash at the
 // scheduled instant rather than at its next message.
 func (w *World) WakeRank(i int) {
 	w.ranks[i].activity.Broadcast()
 }
 
-// Respawn revives a killed rank with a fresh process running body — the
-// fault plan's "worker restart after d". The previous incarnation must have
-// been killed and finished unwinding; anything else is a contract violation
-// (*ProtocolError). The revived rank starts with an empty inbox, no posted
-// receives, and an incremented Incarnation.
-func (w *World) Respawn(i int, name string, body func(r *Rank)) *des.Proc {
+// Respawn revives a killed rank with a fresh state-machine process running
+// m — the fault plan's "worker restart after d". The previous incarnation
+// must have been killed and finished unwinding; anything else is a contract
+// violation (*ProtocolError). The revived rank starts with an empty inbox,
+// no posted receives, and an incremented Incarnation.
+func (w *World) Respawn(i int, name string, m des.Machine) *des.Proc {
 	r := w.ranks[i]
 	if r.proc == nil {
 		protoPanic("Respawn", i, "rank was never spawned")
@@ -243,8 +243,6 @@ func (w *World) Respawn(i int, name string, body func(r *Rank)) *des.Proc {
 	r.inbox = nil
 	r.posted = nil
 	r.incarnation++
-	r.proc = w.sim.Spawn(name, func(p *des.Proc) {
-		body(r)
-	})
+	r.proc = w.sim.SpawnFSM(name, m)
 	return r.proc
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"s3asim/internal/des"
@@ -123,35 +125,48 @@ func TestCancelWithdrawsMatching(t *testing.T) {
 	}
 }
 
+// stepFunc adapts a closure to des.Machine; the closure keeps its resume
+// point in captured variables.
+type stepFunc func(p *des.Proc)
+
+func (f stepFunc) Step(p *des.Proc) { f(p) }
+
 // TestKillTeardownAndRespawn drives the full crash lifecycle the fault
-// layer uses: Kill cancels the dying rank's posted receives and discards
-// its inbox, sends to the dead rank complete but report Dropped, and
-// Respawn revives the rank with a clean slate and a bumped incarnation.
+// layer uses, on state-machine ranks: Kill cancels the dying rank's posted
+// receives and discards its inbox, sends to the dead rank complete but
+// report Dropped, and Respawn revives the rank with a clean slate and a
+// bumped incarnation.
 func TestKillTeardownAndRespawn(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var posted, toDead *Request
-	var revivedInc int
-	w.Spawn(0, "victim", func(r *Rank) {
-		posted = r.Irecv(1, 9)
-		r.Compute(des.Millisecond)
-		w.Kill(0) // the dying rank's own proc tears itself down
-	})
+	revivedInc := -1
+	victim := w.Rank(0)
+	started := false
+	w.SpawnFSM(0, "victim", stepFunc(func(p *des.Proc) {
+		if !started {
+			started = true
+			posted = victim.Irecv(1, 9)
+			victim.Compute(des.Millisecond)
+			return
+		}
+		w.Kill(0) // the dying rank's own process tears itself down
+	}))
 	w.Spawn(1, "peer", func(r *Rank) {
 		r.Compute(5 * des.Millisecond)
 		toDead = r.Isend(0, 9, 100, "to the dead")
 		r.Wait(toDead) // eager: completes at the sender NIC, before delivery
 		r.Compute(5 * des.Millisecond)
-		// The victim's proc is done by now: revive it.
-		w.Respawn(0, "revived", func(r2 *Rank) {
-			revivedInc = r2.Incarnation()
-			if !r2.Alive() {
+		// The victim's process is done by now: revive it.
+		w.Respawn(0, "revived", stepFunc(func(p *des.Proc) {
+			revivedInc = victim.Incarnation()
+			if !victim.Alive() {
 				t.Error("respawned rank not alive")
 			}
-			if r2.Probe(AnySource, AnyTag) {
+			if victim.Probe(AnySource, AnyTag) {
 				t.Error("respawned rank inherited inbox traffic")
 			}
-		})
+		}))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -164,6 +179,82 @@ func TestKillTeardownAndRespawn(t *testing.T) {
 	}
 	if revivedInc != 1 {
 		t.Fatalf("incarnation after respawn = %d, want 1", revivedInc)
+	}
+	if w.MessagesToDead() != 1 {
+		t.Fatalf("MessagesToDead = %d, want 1", w.MessagesToDead())
+	}
+}
+
+// TestTimedWaitEventDeathAndRespawn: a state-machine rank parked in a timed
+// WaitEventOp times out twice, is woken out-of-band to observe its armed
+// crash, kills itself while its deadline is still queued, and is respawned.
+// The message sent to the dead incarnation is dropped; the new incarnation
+// receives exactly the message addressed to it.
+func TestTimedWaitEventDeathAndRespawn(t *testing.T) {
+	const tag = 4
+	sim := des.New()
+	w := NewWorld(sim, 2, fastNet())
+	victim := w.Rank(0)
+	die := false
+	var outcomes []string
+	var got []any
+
+	var wait WaitEventOp
+	parked := false
+	w.SpawnFSM(0, "victim.0", stepFunc(func(p *des.Proc) {
+		for {
+			if !parked {
+				wait.InitUntil(victim, victim.Now()+500*des.Microsecond)
+			}
+			if parked = !wait.Step(); parked {
+				return
+			}
+			outcomes = append(outcomes, fmt.Sprintf("%v@%v", wait.Woken, victim.Now()))
+			if die {
+				// Fail-stop at the checkpoint after the wake: tear down
+				// and revive the rank 5ms later as a fresh machine.
+				w.Kill(0)
+				sim.After(5*des.Millisecond, func() {
+					var req *Request
+					var recv WaitEventOp
+					w.Respawn(0, "victim.1", stepFunc(func(p *des.Proc) {
+						if req == nil {
+							req = victim.Irecv(1, tag)
+						}
+						for !req.Done() {
+							recv.Init(victim)
+							if !recv.Step() {
+								return
+							}
+						}
+						got = append(got, req.Message().Payload)
+					}))
+				})
+				return
+			}
+		}
+	}))
+	w.Spawn(1, "peer", func(r *Rank) {
+		r.Compute(1200 * des.Microsecond)
+		die = true
+		w.WakeRank(0)
+		r.Compute(des.Millisecond)
+		r.Send(0, tag, 8, 0) // addressed to the dead incarnation
+		r.Compute(10 * des.Millisecond)
+		r.Send(0, tag, 8, 1) // addressed to the revived incarnation
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "false@0.000500s false@0.001000s true@0.001200s"
+	if s := strings.Join(outcomes, " "); s != want {
+		t.Fatalf("timed wait outcomes %q, want %q", s, want)
+	}
+	if victim.Incarnation() != 1 || !victim.Alive() {
+		t.Fatalf("rank 0: incarnation %d alive %v, want 1 and alive", victim.Incarnation(), victim.Alive())
+	}
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("revived incarnation received %v, want only [1]", got)
 	}
 	if w.MessagesToDead() != 1 {
 		t.Fatalf("MessagesToDead = %d, want 1", w.MessagesToDead())

@@ -15,8 +15,8 @@ import (
 // File and Group are wrappers (Init + one Step) over these, so goroutine and
 // FSM processes execute the identical event sequence.
 
-// StartReadAt arms op as rank r's individual contiguous read (the resumable
-// form of ReadAt; fetch captured bytes with op.ReadData after completion).
+// StartReadAt arms op as rank r's individual contiguous read (fetch
+// captured bytes with op.ReadData after completion).
 func (f *File) StartReadAt(op *pvfs.IssueOp, r *mpi.Rank, off, n int64) {
 	op.InitRead(r.Proc(), f.pv, f.port(r), off, n)
 }

@@ -188,12 +188,6 @@ func (f *File) WriteAt(r *mpi.Rank, off, n int64, data []byte) {
 	f.pv.Write(r.Proc(), f.port(r), off, n, data)
 }
 
-// ReadAt performs an individual contiguous read from rank r, returning the
-// stored bytes when the file system captures data (nil otherwise).
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []byte {
-	return f.pv.Read(r.Proc(), f.port(r), off, n)
-}
-
 // WriteSegs performs an individual noncontiguous write of segs from rank r
 // using the hinted ADIO method. The methods live in WriteSegsOp (so FSM
 // processes can run them resumably); this wrapper drives it to completion
