@@ -50,12 +50,17 @@ bench-quick:
 
 # Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput,
 # process switches, Signal wake/broadcast, timed-wait re-arm (goroutine and
-# state-machine waiters), the MPI
-# layer riding on them, the adaptive controller's decision path
-# (DESIGN.md §16), and result-content fill and exact match in MB/s
-# (DESIGN.md §14). The steady-state paths must stay 0 allocs/op.
+# state-machine waiters), the MPI message path and the PVFS request path
+# riding on them as task-driven records, the adaptive controller's decision
+# path (DESIGN.md §16), and result-content fill and exact match in MB/s
+# (DESIGN.md §14). The steady-state paths must stay 0 allocs/op; the pvfs
+# and mpi request paths are pinned by TestIssueOpSteadyStateAllocs and
+# TestIsendIrecvAllocs (one allocation per Isend and per Irecv). The pvfs
+# line runs the write benchmarks only: BenchmarkExtentMapWrite is quadratic
+# in the sorted-slice extent map and does not finish at -benchtime=1s.
 bench-kernel:
 	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/
+	$(GO) test -bench='Write(Contig|List)' -benchmem -benchtime=1s ./internal/pvfs/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The

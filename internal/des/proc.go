@@ -302,12 +302,23 @@ func (sig *Signal) Waiters() int { return sig.n }
 // interleave with Wait, because everything runs under the DES kernel.
 type Gate struct {
 	n    int
-	cond *Signal
+	cond Signal
 }
 
 // NewGate returns a gate with an initial count of n.
 func (s *Simulation) NewGate(n int) *Gate {
-	return &Gate{n: n, cond: s.NewSignal()}
+	g := new(Gate)
+	g.Init(s, n)
+	return g
+}
+
+// Init arms g, typically a Gate embedded in a longer-lived record, with a
+// count of n on simulation s: NewGate without the allocation. Re-arming a
+// gate whose previous count drained to zero is the reuse pattern; its wait
+// list is empty by then.
+func (g *Gate) Init(s *Simulation, n int) {
+	g.n = n
+	g.cond.sim = s
 }
 
 // Add increases the pending count by delta (which may be negative; a

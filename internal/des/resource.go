@@ -10,8 +10,9 @@ import "unsafe"
 // Two interfaces are provided:
 //
 //   - Submit: callback style, usable without a Proc. The completion callback
-//     fires when service finishes. This is the fast path used by the network
-//     and storage layers (no goroutine per request).
+//     fires when service finishes. SubmitTask is its allocation-free form
+//     for staged records; it is the fast path used by the network and
+//     storage layers (no goroutine, no closure per message or request).
 //   - Use: blocking style for code running inside a Proc.
 //
 // Because service times are known on submission and the discipline is FCFS,
@@ -85,6 +86,15 @@ func (r *Resource) Submit(d Time, fn func()) Time {
 	if fn != nil {
 		r.sim.At(done, fn)
 	}
+	return done
+}
+
+// SubmitTask enqueues a request with service time d and fires task's
+// record when service completes — Submit with a tagged task event instead
+// of a closure. Returns the completion time.
+func (r *Resource) SubmitTask(d Time, task *Task) Time {
+	done := r.reserve(d)
+	r.sim.AtTask(done, task)
 	return done
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // evKind tags a calendar entry with its dispatch action. Tagged events are
-// the kernel's fast path: Sleep, Signal wakeups, timed waits, and
-// Resource.Use schedule plain struct entries with no closure allocation;
-// only genuinely ad-hoc callbacks (At, After, Resource.Submit) pay for a
-// func value.
+// the kernel's fast path: Sleep, Signal wakeups, timed waits, Resource.Use
+// and staged records (AtTask, AfterTask, Resource.SubmitTask) schedule plain
+// struct entries with no closure allocation; only genuinely ad-hoc
+// callbacks (At, After, Resource.Submit) pay for a func value.
 type evKind uint8
 
 const (
@@ -32,6 +32,8 @@ const (
 	// still counts as an executed event, exactly like the queued no-op it
 	// replaces — and the waiter storage is reclaimed.
 	evTimer
+	// evTask runs the Fire method of the record a *Task is bound to.
+	evTask
 )
 
 // event is a single entry in the calendar. Events with equal times fire in
@@ -39,9 +41,9 @@ const (
 //
 // The operand is a one-word tagged union discriminated by kind: a *Proc
 // (evStart, evResume), a *waiter (evWake, evBroadcast chain head, evTimer),
-// or a closure (evFunc). Keeping the event at one pointer word matters: the
-// calendar moves events constantly (heap sift, append growth), and every
-// pointer field pays a GC write barrier per move.
+// a *Task (evTask), or a closure (evFunc). Keeping the event at one pointer
+// word matters: the calendar moves events constantly (heap sift, append
+// growth), and every pointer field pays a GC write barrier per move.
 type event struct {
 	t    Time
 	seq  uint64
@@ -206,6 +208,44 @@ func (s *Simulation) After(d Time, fn func()) {
 	s.At(s.now+d, fn)
 }
 
+// Firer is a staged record driven by task events: each Fire runs the
+// record's next stage, which typically schedules the stage after it.
+type Firer interface {
+	Fire()
+}
+
+// Task is the schedulable handle a staged record embeds. It holds the
+// interface back to its record, so scheduling the record is a tagged event
+// whose operand is the *Task itself: no closure, no allocation, and the
+// event stays one pointer word. Bind the task once, when the record is
+// created. A record usually keeps a stage field and each Fire schedules the
+// next stage, so it sits in the calendar at most once at a time.
+type Task struct {
+	rec Firer
+}
+
+// Bind attaches the record whose Fire method the task's events run.
+func (t *Task) Bind(rec Firer) { t.rec = rec }
+
+// AtTask schedules task's record to fire at absolute virtual time t.
+// Scheduling in the past is clamped to the present. Ordering is exactly
+// At's: equal-time events fire in insertion order, whatever their kind.
+func (s *Simulation) AtTask(t Time, task *Task) {
+	if task.rec == nil {
+		panic("des: scheduling an unbound Task")
+	}
+	s.push(t, evTask, unsafe.Pointer(task))
+}
+
+// AfterTask schedules task's record to fire d from now. Negative d is
+// clamped to zero.
+func (s *Simulation) AfterTask(d Time, task *Task) {
+	if d < 0 {
+		d = 0
+	}
+	s.AtTask(s.now+d, task)
+}
+
 // getWaiter pops a waiter from the free list (or allocates the pool's first
 // few) and initializes it for p. Steady-state signal traffic therefore
 // allocates nothing.
@@ -286,6 +326,8 @@ func (s *Simulation) RunUntil(limit Time) bool {
 // dispatch performs a popped event's action. It runs in kernel context.
 func (s *Simulation) dispatch(e *event) {
 	switch e.kind {
+	case evTask:
+		(*Task)(e.arg).rec.Fire()
 	case evResume:
 		s.transferTo((*Proc)(e.arg))
 	case evFunc:

@@ -96,6 +96,8 @@ type World struct {
 	bytesSent  uint64
 	msgsSent   uint64
 	msgsToDead uint64
+
+	flowLabels map[int]string // "msg.<tag>", built once per tag (causal flows)
 }
 
 // NewWorld creates a world of n ranks over ceil(n/ProcsPerNode) nodes.
@@ -124,6 +126,19 @@ func NewWorld(sim *des.Simulation, n int, cfg NetConfig) *World {
 		w.ranks = append(w.ranks, r)
 	}
 	return w
+}
+
+// flowLabel returns the causal flow label of messages carrying tag.
+func (w *World) flowLabel(tag int) string {
+	l, ok := w.flowLabels[tag]
+	if !ok {
+		if w.flowLabels == nil {
+			w.flowLabels = make(map[int]string)
+		}
+		l = fmt.Sprintf("msg.%d", tag)
+		w.flowLabels[tag] = l
+	}
+	return l
 }
 
 // Sim returns the underlying simulation.
@@ -209,9 +224,9 @@ func (w *World) Kill(i int) {
 	r.inbox = nil
 	posted := r.posted
 	r.posted = nil
-	for _, pr := range posted {
-		pr.req.cancelled = true
-		pr.req.complete(nil)
+	for _, q := range posted {
+		q.cancelled = true
+		q.complete(nil)
 	}
 }
 

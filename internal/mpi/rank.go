@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
 )
@@ -15,9 +13,9 @@ type Rank struct {
 	node *node
 	proc *des.Proc
 
-	inbox    []*Message    // arrived, not yet matched
-	posted   []*postedRecv // posted receives, not yet matched
-	activity *des.Signal   // broadcast whenever a request completes
+	inbox    []*Message  // arrived, not yet matched
+	posted   []*Request  // posted receives, not yet matched
+	activity *des.Signal // broadcast whenever a request completes
 
 	dead        bool // killed by fault injection; deliveries are discarded
 	incarnation int  // respawn count (0 for the original process)
@@ -30,16 +28,6 @@ type Rank struct {
 	// transit edge to its sender) from an out-of-band or timeout wake.
 	lastMsg   *Message
 	lastMsgAt des.Time
-}
-
-type postedRecv struct {
-	source, tag int
-	req         *Request
-}
-
-func (pr *postedRecv) matches(m *Message) bool {
-	return (pr.source == AnySource || pr.source == m.Source) &&
-		(pr.tag == AnyTag || pr.tag == m.Tag)
 }
 
 // Rank returns this rank's index.
@@ -88,6 +76,14 @@ type Request struct {
 	msg       *Message // non-nil for completed receives
 	cancelled bool     // receive cancelled before matching
 	dropped   bool     // send whose message the network lost (fault injection)
+
+	source, tag int // a posted receive's match pattern (wildcards allowed)
+}
+
+// matches reports whether m satisfies the posted receive q.
+func (q *Request) matches(m *Message) bool {
+	return (q.source == AnySource || q.source == m.Source) &&
+		(q.tag == AnyTag || q.tag == m.Tag)
 }
 
 // Done reports whether the operation has completed (MPI_Test without
@@ -114,6 +110,73 @@ func (q *Request) complete(m *Message) {
 	q.owner.activity.Broadcast()
 }
 
+// sendStage names the stage a transfer runs on its next Fire.
+type sendStage uint8
+
+const (
+	sendNIC     sendStage = iota // cleared the sender NIC: complete eager, cross the wire
+	sendArrived                  // reached the receiver: queue on its NIC (or vanish)
+	sendCleared                  // cleared the receiver NIC: deliver
+)
+
+// transfer is one Isend in flight: the message, the sender's request and
+// the stage state in a single allocation. Each stage is one tagged task
+// event pushed at the same moment, in the same order, as the nested
+// callbacks it replaces. It is not pooled: callers keep the returned
+// request, and receivers keep the message, for as long as they like.
+type transfer struct {
+	task  des.Task
+	msg   Message
+	req   Request
+	stage sendStage
+	eager bool
+	lost  bool
+	extra des.Time // fault-injected wire delay
+}
+
+// Fire runs the transfer's next stage.
+func (t *transfer) Fire() {
+	r := t.req.owner
+	w := r.w
+	cfg := &w.cfg
+	dst := w.ranks[t.msg.Dest]
+	switch t.stage {
+	case sendNIC:
+		if t.eager {
+			t.req.complete(nil) // send requests carry no message
+		}
+		t.stage = sendArrived
+		w.sim.AfterTask(cfg.Latency+t.extra, &t.task)
+	case sendArrived:
+		// A message lost on the wire never reaches the receiver NIC; a
+		// rendezvous send still completes (the transport gave up), with
+		// the loss surfaced via Dropped.
+		if t.lost {
+			t.req.dropped = true
+			if !t.eager {
+				t.req.complete(nil)
+			}
+			return
+		}
+		t.stage = sendCleared
+		dst.node.recv.SubmitTask(cfg.PerMessageCPU+des.BytesOver(t.msg.Bytes, cfg.Bandwidth), &t.task)
+	case sendCleared:
+		m := &t.msg
+		if dst.dead {
+			t.req.dropped = true
+			w.msgsToDead++
+		} else {
+			if c := w.causal; c != nil && c.CapturesFlows() && dst.proc != nil {
+				c.Flow(m.id, w.flowLabel(m.Tag), m.sentBy, dst.proc.Name(), m.sentAt, w.sim.Now())
+			}
+			dst.deliver(m)
+		}
+		if !t.eager {
+			t.req.complete(nil)
+		}
+	}
+}
+
 // Isend starts a nonblocking send of a message with the given simulated
 // size and real payload. The returned request completes when the sender-side
 // NIC finishes (bytes ≤ eager limit) or when the message is delivered to the
@@ -128,62 +191,27 @@ func (r *Rank) Isend(dest, tag int, bytes int64, payload any) *Request {
 		protoPanic("Isend", dest, "destination outside world")
 	}
 	w := r.w
-	cfg := w.cfg
-	m := &Message{Source: r.rank, Dest: dest, Tag: tag, Bytes: bytes, Payload: payload}
-	req := &Request{owner: r}
+	cfg := &w.cfg
+	t := &transfer{
+		msg:   Message{Source: r.rank, Dest: dest, Tag: tag, Bytes: bytes, Payload: payload},
+		req:   Request{owner: r},
+		eager: bytes <= cfg.EagerLimit,
+	}
+	t.task.Bind(t)
 	w.msgsSent++
 	w.bytesSent += uint64(bytes)
 	r.msgsSent++
 	r.bytesSent += uint64(bytes)
 	if w.causal != nil {
-		m.sentBy = r.proc.Name()
-		m.sentAt = w.sim.Now()
-		m.id = w.msgsSent
+		t.msg.sentBy = r.proc.Name()
+		t.msg.sentAt = w.sim.Now()
+		t.msg.id = w.msgsSent
 	}
-
-	var lost bool
-	var extra des.Time
 	if w.fate != nil {
-		lost, extra = w.fate.MessageFate(r.rank, dest, tag, bytes)
+		t.lost, t.extra = w.fate.MessageFate(r.rank, dest, tag, bytes)
 	}
-
-	eager := bytes <= cfg.EagerLimit
-	sendCost := cfg.PerMessageCPU + des.BytesOver(bytes, cfg.Bandwidth)
-	dstRank := w.ranks[dest]
-	r.node.send.Submit(sendCost, func() {
-		if eager {
-			req.complete(nil) // send requests carry no message
-		}
-		w.sim.After(cfg.Latency+extra, func() {
-			// A message lost on the wire never reaches the receiver NIC; a
-			// rendezvous send still completes (the transport gave up), with
-			// the loss surfaced via Dropped.
-			if lost {
-				req.dropped = true
-				if !eager {
-					req.complete(nil)
-				}
-				return
-			}
-			recvCost := cfg.PerMessageCPU + des.BytesOver(bytes, cfg.Bandwidth)
-			dstRank.node.recv.Submit(recvCost, func() {
-				if dstRank.dead {
-					req.dropped = true
-					r.w.msgsToDead++
-				} else {
-					if c := w.causal; c != nil && c.CapturesFlows() && dstRank.proc != nil {
-						c.Flow(m.id, fmt.Sprintf("msg.%d", m.Tag), m.sentBy,
-							dstRank.proc.Name(), m.sentAt, w.sim.Now())
-					}
-					dstRank.deliver(m)
-				}
-				if !eager {
-					req.complete(nil)
-				}
-			})
-		})
-	})
-	return req
+	r.node.send.SubmitTask(cfg.PerMessageCPU+des.BytesOver(bytes, cfg.Bandwidth), &t.task)
+	return &t.req
 }
 
 // Send is a blocking standard-mode send: Isend followed by Wait.
@@ -197,10 +225,10 @@ func (r *Rank) deliver(m *Message) {
 	if r.w.causal != nil {
 		r.lastMsg, r.lastMsgAt = m, r.w.sim.Now()
 	}
-	for i, pr := range r.posted {
-		if pr.matches(m) {
+	for i, q := range r.posted {
+		if q.matches(m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			pr.req.complete(m)
+			q.complete(m)
 			return
 		}
 	}
@@ -211,7 +239,7 @@ func (r *Rank) deliver(m *Message) {
 // wildcards apply. If a queued message already matches, the request
 // completes immediately (consuming the oldest match).
 func (r *Rank) Irecv(source, tag int) *Request {
-	req := &Request{owner: r}
+	req := &Request{owner: r, source: source, tag: tag}
 	for i, m := range r.inbox {
 		if (source == AnySource || source == m.Source) && (tag == AnyTag || tag == m.Tag) {
 			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
@@ -219,7 +247,7 @@ func (r *Rank) Irecv(source, tag int) *Request {
 			return req
 		}
 	}
-	r.posted = append(r.posted, &postedRecv{source: source, tag: tag, req: req})
+	r.posted = append(r.posted, req)
 	return req
 }
 
@@ -349,8 +377,8 @@ func (r *Rank) Cancel(q *Request) bool {
 	if q.done {
 		return false
 	}
-	for i, pr := range r.posted {
-		if pr.req == q {
+	for i, x := range r.posted {
+		if x == q {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			break
 		}

@@ -2,7 +2,7 @@ package pvfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
@@ -20,39 +20,89 @@ const (
 	opSync
 )
 
-// serverRequest is one request bound for one server's FCFS queue.
+// reqStage names the pipeline stage a serverRequest runs on its next Fire.
+type reqStage uint8
+
+const (
+	stageSent     reqStage = iota // cleared the client send NIC: cross the wire
+	stageArrived                  // reached the server: take locks, then queue
+	stageGranted                  // every lock unit granted: queue for service
+	stageServed                   // serviced: apply the write, send the ack back
+	stageReturned                 // ack crossed the wire: clear the client recv NIC
+	stageAcked                    // ack absorbed: retire the request
+)
+
+// serverRequest is one request bound for one server's FCFS queue, and the
+// staged record that carries it through the pipeline: client send NIC →
+// wire → optional lock grant → server queue → wire → client recv NIC. Each
+// stage is one tagged task event pushed at the same moment, in the same
+// order, as the nested callbacks it replaces. Records (and their segs and
+// locks slices) come from the owning FileSystem's free list and return to it
+// on the ack stage, so their number is bounded by requests in flight.
 type serverRequest struct {
+	task   des.Task
+	op     *IssueOp
+	stage  reqStage
 	server int
 	kind   opKind
 	segs   []Segment // pieces on this server (write/read)
 	bytes  int64
 	nsegs  int
+	locks  []*des.Resource // lock units to serialize through (locked writes)
+
+	cost             des.Time // service time; faults scale it on arrival
+	submitAt, doneAt des.Time
 }
 
-// groupByServer coalesces pieces into one request per server, preserving
+// getRequest pops a pooled request record (or allocates one) for server.
+func (fs *FileSystem) getRequest(server int, kind opKind) *serverRequest {
+	var r *serverRequest
+	if n := len(fs.reqPool); n > 0 {
+		r = fs.reqPool[n-1]
+		fs.reqPool = fs.reqPool[:n-1]
+	} else {
+		r = new(serverRequest)
+		r.task.Bind(r)
+	}
+	r.server, r.kind = server, kind
+	return r
+}
+
+// putRequest returns a retired record to the free list, dropping its
+// payload and operation references but keeping its slices' storage (lock
+// resources live as long as the file system, so they need no clearing).
+func (fs *FileSystem) putRequest(r *serverRequest) {
+	clear(r.segs)
+	*r = serverRequest{task: r.task, segs: r.segs[:0], locks: r.locks[:0]}
+	fs.reqPool = append(fs.reqPool, r)
+}
+
+// groupRequests coalesces pieces into one pooled request per server,
+// appended to the empty slice dst in first-touch order, preserving
 // per-server piece order.
-func groupRequests(pieces []serverPiece, kind opKind, contiguous bool) []*serverRequest {
-	byServer := map[int]*serverRequest{}
-	var order []*serverRequest
+func (fs *FileSystem) groupRequests(dst []*serverRequest, pieces []serverPiece, kind opKind, contiguous bool) []*serverRequest {
+	dst = slices.Grow(dst, len(fs.servers)) // one request per server at most
+	byServer := fs.byServer
 	for _, pc := range pieces {
 		r := byServer[pc.server]
 		if r == nil {
-			r = &serverRequest{server: pc.server, kind: kind}
+			r = fs.getRequest(pc.server, kind)
 			byServer[pc.server] = r
-			order = append(order, r)
+			dst = append(dst, r)
 		}
 		r.segs = append(r.segs, pc.seg)
 		r.bytes += pc.seg.Length
 		r.nsegs++
 	}
-	if contiguous {
-		// A contiguous client range maps to a regular strided pattern the
-		// server handles as a single access: charge one segment.
-		for _, r := range order {
+	for _, r := range dst {
+		byServer[r.server] = nil
+		if contiguous {
+			// A contiguous client range maps to a regular strided pattern
+			// the server handles as a single access: charge one segment.
 			r.nsegs = 1
 		}
 	}
-	return order
+	return dst
 }
 
 // IssueOp runs a set of server requests concurrently on behalf of a client
@@ -65,16 +115,17 @@ func groupRequests(pieces []serverPiece, kind opKind, contiguous bool) []*server
 // true. On a goroutine process one Step call completes the whole operation
 // (the blocking File methods are wrappers doing exactly that); an FSM
 // process re-enters Step after each park. Both forms run this one code path,
-// so their event schedules are identical.
+// so their event schedules are identical. An op is reusable once Step has
+// returned true; re-arming it while its requests are in flight panics.
 type IssueOp struct {
 	f    *File
 	p    *des.Proc
 	port *Port
-	reqs []*serverRequest
+	reqs []*serverRequest // armed, not yet launched
 
 	issueStart des.Time
 	waitStart  des.Time
-	gate       *des.Gate
+	gate       des.Gate
 	launched   bool
 	noop       bool
 
@@ -89,16 +140,24 @@ type IssueOp struct {
 	readSegs       []Segment // capture read-back segments (InitReadList only)
 }
 
-// init arms the op over prebuilt server requests.
-func (op *IssueOp) init(f *File, p *des.Proc, port *Port, reqs []*serverRequest) {
-	op.f, op.p, op.port, op.reqs = f, p, port, reqs
+// rearm clears the previous operation's state. Every Init* calls it first.
+func (op *IssueOp) rearm() {
+	if n := op.gate.Pending(); n > 0 {
+		panic(fmt.Sprintf("pvfs: IssueOp re-armed while %d server request(s) of its previous operation are in flight", n))
+	}
 	op.launched, op.noop = false, false
 	op.last.ok = false
 	op.readOff, op.readN = 0, 0
 	op.readSegs = nil
+	op.reqs = op.reqs[:0]
+}
+
+// init arms the op over the server requests already grouped into op.reqs.
+func (op *IssueOp) init(f *File, p *des.Proc, port *Port) {
+	op.f, op.p, op.port = f, p, port
 	op.issueStart = f.fs.sim.Now()
 	// The client marshals every request serially on its own CPU first.
-	p.Sleep(f.fs.cfg.IssueOverhead + des.Time(len(reqs))*f.fs.cfg.PerServerIssue)
+	p.Sleep(f.fs.cfg.IssueOverhead + des.Time(len(op.reqs))*f.fs.cfg.PerServerIssue)
 }
 
 // Step drives the operation; it returns true once every server request has
@@ -150,100 +209,128 @@ func (op *IssueOp) Step() bool {
 func (op *IssueOp) launch() {
 	f, port := op.f, op.port
 	fs := f.fs
-	cfg := fs.cfg
-	sim := fs.sim
-	gate := sim.NewGate(len(op.reqs))
-	op.gate = gate
+	cfg := &fs.cfg
+	op.gate.Init(fs.sim, len(op.reqs))
 	for _, r := range op.reqs {
-		r := r
-		srv := fs.servers[r.server]
-		var cost des.Time
 		switch r.kind {
 		case opWrite, opRead:
-			cost = cfg.RequestOverhead + des.Time(r.nsegs)*cfg.SegmentOverhead +
+			r.cost = cfg.RequestOverhead + des.Time(r.nsegs)*cfg.SegmentOverhead +
 				des.BytesOver(r.bytes, cfg.ServiceBandwidth)
 		case opSync:
+			srv := fs.servers[r.server]
 			d := srv.dirty
 			srv.dirty = 0
-			cost = cfg.SyncBase + des.BytesOver(d, cfg.SyncBandwidth)
+			r.cost = cfg.SyncBase + des.BytesOver(d, cfg.SyncBandwidth)
 			srv.syncs++
 		}
 		wireBytes := r.bytes
 		if r.kind != opWrite {
 			wireBytes = 256 // request descriptor only; data flows back for reads
 		}
-		locks := f.lockUnits(r)
-		port.Send.Submit(des.BytesOver(wireBytes, port.Bandwidth), func() {
-			sim.After(cfg.NetLatency, func() {
-				submitAt := sim.Now()
-				// Degradation windows scale service time at submission.
-				if fs.faults != nil {
-					if f := fs.faults.ServiceFactor(r.server); f != 1 {
-						cost = des.Time(float64(cost) * f)
-					}
+		f.lockUnits(r)
+		r.op = op
+		r.stage = stageSent
+		port.Send.SubmitTask(des.BytesOver(wireBytes, port.Bandwidth), &r.task)
+	}
+	clear(op.reqs) // the records now belong to the pipeline
+	op.reqs = op.reqs[:0]
+}
+
+// Fire runs the request's next pipeline stage.
+func (r *serverRequest) Fire() {
+	op := r.op
+	f := op.f
+	fs := f.fs
+	sim := fs.sim
+	cfg := &fs.cfg
+	srv := fs.servers[r.server]
+	switch r.stage {
+	case stageSent:
+		r.stage = stageArrived
+		sim.AfterTask(cfg.NetLatency, &r.task)
+	case stageArrived:
+		r.submitAt = sim.Now()
+		// Degradation windows scale service time at submission.
+		if fs.faults != nil {
+			if x := fs.faults.ServiceFactor(r.server); x != 1 {
+				r.cost = des.Time(float64(r.cost) * x)
+			}
+		}
+		if len(r.locks) > 0 {
+			r.stage = stageGranted
+			sim.AtTask(lockGrant(sim, r.locks, srv.res, r.cost, cfg.LockAcquireCost), &r.task)
+			return
+		}
+		r.serve(fs, srv)
+	case stageGranted:
+		r.serve(fs, srv)
+	case stageServed:
+		if r.kind == opWrite {
+			srv.dirty += r.bytes
+			srv.written += r.bytes
+			for _, seg := range r.segs {
+				data := seg.Data
+				if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
+					data = nil // silent loss: extent recorded, payload zeroed
 				}
-				serveLocked(sim, locks, srv.res, cost, cfg.LockAcquireCost, func() {
-					var doneAt des.Time
-					doneAt = srv.res.Submit(cost, func() {
-						if r.kind == opWrite {
-							srv.dirty += r.bytes
-							srv.written += r.bytes
-							for _, seg := range r.segs {
-								data := seg.Data
-								if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
-									data = nil // silent loss: extent recorded, payload zeroed
-								}
-								f.data.write(seg.Offset, seg.Length, data)
-								if seg.Offset+seg.Length > f.size {
-									f.size = seg.Offset + seg.Length
-								}
-							}
-						}
-						srv.requests++
-						srv.segments += uint64(r.nsegs)
-						sim.After(cfg.NetLatency, func() {
-							back := ackCost
-							if r.kind == opRead {
-								back += des.BytesOver(r.bytes, port.Bandwidth)
-							}
-							port.Recv.Submit(back, func() {
-								if fs.causal != nil {
-									if now := sim.Now(); !op.last.ok || now >= op.last.at {
-										op.last.ok, op.last.at = true, now
-										op.last.submit, op.last.start, op.last.done = submitAt, doneAt-cost, doneAt
-									}
-								}
-								gate.Done()
-							})
-						})
-					})
-					if fs.traceOn {
-						fs.trace = append(fs.trace, RequestRecord{
-							Kind:     r.kindName(),
-							Server:   r.server,
-							Bytes:    r.bytes,
-							Segments: r.nsegs,
-							Submit:   submitAt,
-							Start:    doneAt - cost,
-							Done:     doneAt,
-						})
-					}
-					fs.recordRequest(r.kindName(), r.bytes, doneAt-cost-submitAt, cost)
-				})
-			})
+				f.data.write(seg.Offset, seg.Length, data)
+				if seg.Offset+seg.Length > f.size {
+					f.size = seg.Offset + seg.Length
+				}
+			}
+		}
+		srv.requests++
+		srv.segments += uint64(r.nsegs)
+		r.stage = stageReturned
+		sim.AfterTask(cfg.NetLatency, &r.task)
+	case stageReturned:
+		back := ackCost
+		if r.kind == opRead {
+			back += des.BytesOver(r.bytes, op.port.Bandwidth)
+		}
+		r.stage = stageAcked
+		op.port.Recv.SubmitTask(back, &r.task)
+	case stageAcked:
+		if fs.causal != nil {
+			if now := sim.Now(); !op.last.ok || now >= op.last.at {
+				op.last.ok, op.last.at = true, now
+				op.last.submit, op.last.start, op.last.done = r.submitAt, r.doneAt-r.cost, r.doneAt
+			}
+		}
+		op.gate.Done()
+		fs.putRequest(r)
+	}
+}
+
+// serve queues the request at its server (every lock unit granted) and
+// records it in the request trace and metrics.
+func (r *serverRequest) serve(fs *FileSystem, srv *server) {
+	r.stage = stageServed
+	r.doneAt = srv.res.SubmitTask(r.cost, &r.task)
+	if fs.traceOn {
+		fs.trace = append(fs.trace, RequestRecord{
+			Kind:     r.kindName(),
+			Server:   r.server,
+			Bytes:    r.bytes,
+			Segments: r.nsegs,
+			Submit:   r.submitAt,
+			Start:    r.doneAt - r.cost,
+			Done:     r.doneAt,
 		})
 	}
+	fs.recordRequest(r.kindName(), r.bytes, r.doneAt-r.cost-r.submitAt, r.cost)
 }
 
 // InitWrite arms op as a contiguous write of n bytes at off. data may be nil
 // unless the file system captures real bytes. A non-positive n is a no-op.
 func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n int64, data []byte) {
+	op.rearm()
 	if n <= 0 {
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer([]Segment{{Offset: off, Length: n, Data: data}})
-	op.init(f, p, port, groupRequests(pieces, opWrite, true))
+	op.reqs = f.fs.groupRequests(op.reqs, f.splitByServer([]Segment{{Offset: off, Length: n, Data: data}}), opWrite, true)
+	op.init(f, p, port)
 }
 
 // InitWriteList arms op as a native noncontiguous list-I/O write: all
@@ -251,22 +338,24 @@ func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n int64, dat
 // in parallel. This is the PVFS2 list I/O interface of [Ching et al. 2002]
 // that the WW-List strategy exercises. An empty segment list is a no-op.
 func (op *IssueOp) InitWriteList(p *des.Proc, f *File, port *Port, segs []Segment) {
+	op.rearm()
 	if len(segs) == 0 {
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer(segs)
-	op.init(f, p, port, groupRequests(pieces, opWrite, false))
+	op.reqs = f.fs.groupRequests(op.reqs, f.splitByServer(segs), opWrite, false)
+	op.init(f, p, port)
 }
 
 // InitRead arms op as a contiguous read. A non-positive n is a no-op.
 func (op *IssueOp) InitRead(p *des.Proc, f *File, port *Port, off, n int64) {
+	op.rearm()
 	if n <= 0 {
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer([]Segment{{Offset: off, Length: n}})
-	op.init(f, p, port, groupRequests(pieces, opRead, true))
+	op.reqs = f.fs.groupRequests(op.reqs, f.splitByServer([]Segment{{Offset: off, Length: n}}), opRead, true)
+	op.init(f, p, port)
 	op.readOff, op.readN = off, n
 }
 
@@ -276,12 +365,13 @@ func (op *IssueOp) InitRead(p *des.Proc, f *File, port *Port, off, n int64) {
 // list I/O interface that "Noncontiguous I/O through PVFS" benchmarks. An
 // empty segment list is a no-op.
 func (op *IssueOp) InitReadList(p *des.Proc, f *File, port *Port, segs []Segment) {
+	op.rearm()
 	if len(segs) == 0 {
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer(segs)
-	op.init(f, p, port, groupRequests(pieces, opRead, false))
+	op.reqs = f.fs.groupRequests(op.reqs, f.splitByServer(segs), opRead, false)
+	op.init(f, p, port)
 	op.readSegs = segs
 }
 
@@ -290,11 +380,12 @@ func (op *IssueOp) InitReadList(p *des.Proc, f *File, port *Port, segs []Segment
 // over the flush bandwidth; concurrent syncs therefore mostly pay the base
 // cost.
 func (op *IssueOp) InitSync(p *des.Proc, f *File, port *Port) {
-	reqs := make([]*serverRequest, 0, len(f.fs.servers))
+	op.rearm()
+	op.reqs = slices.Grow(op.reqs, len(f.fs.servers))
 	for i := range f.fs.servers {
-		reqs = append(reqs, &serverRequest{server: i, kind: opSync})
+		op.reqs = append(op.reqs, f.fs.getRequest(i, opSync))
 	}
-	op.init(f, p, port, reqs)
+	op.init(f, p, port)
 }
 
 // ReadData returns the stored bytes of an InitRead-armed op (zero-filled
@@ -362,49 +453,41 @@ func (f *File) Sync(p *des.Proc, port *Port) {
 	op.Step()
 }
 
-// lockUnits returns the lock resources a write request must serialize
-// through, in ascending unit order (empty when locking is disabled or the
-// request is not a write).
-func (f *File) lockUnits(r *serverRequest) []*des.Resource {
+// lockUnits fills r.locks with the lock resources a write request must
+// serialize through, in ascending unit order (none when locking is disabled
+// or the request is not a write).
+func (f *File) lockUnits(r *serverRequest) {
 	gran := f.fs.cfg.LockGranularity
 	if gran <= 0 || r.kind != opWrite {
-		return nil
+		return
 	}
-	seen := map[int64]bool{}
-	var units []int64
+	units := f.units[:0]
 	for _, seg := range r.segs {
 		for u := seg.Offset / gran; u <= (seg.Offset+seg.Length-1)/gran; u++ {
-			if !seen[u] {
-				seen[u] = true
-				units = append(units, u)
-			}
+			units = append(units, u)
 		}
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	out := make([]*des.Resource, len(units))
-	for i, u := range units {
+	slices.Sort(units)
+	units = slices.Compact(units)
+	for _, u := range units {
 		res, ok := f.locks[u]
 		if !ok {
 			res = f.fs.sim.NewResource(fmt.Sprintf("%s.lock%d", f.name, u), 1)
 			f.locks[u] = res
 		}
-		out[i] = res
+		r.locks = append(r.locks, res)
 	}
-	return out
+	f.units = units
 }
 
-// serveLocked reserves every lock unit a write touches (atomically, within
-// one simulation event, so lock acquisition cannot deadlock) and starts the
-// service once the last unit is granted. Each unit is held for the
-// request's estimated time-to-completion (current server backlog plus
-// service cost) — an approximation of lock-based file systems'
+// lockGrant reserves every lock unit a write touches (atomically, within
+// one simulation event, so lock acquisition cannot deadlock) and returns
+// when the last unit is granted, the moment service may start. Each unit is
+// held for the request's estimated time-to-completion (current server
+// backlog plus service cost) — an approximation of lock-based file systems'
 // hold-until-write-completes. Uncontended locks are granted after the
 // per-unit acquisition cost (a lock-manager round trip).
-func serveLocked(sim *des.Simulation, locks []*des.Resource, srv *des.Resource, cost, acquire des.Time, then func()) {
-	if len(locks) == 0 {
-		then()
-		return
-	}
+func lockGrant(sim *des.Simulation, locks []*des.Resource, srv *des.Resource, cost, acquire des.Time) des.Time {
 	hold := cost
 	if backlog := srv.FreeAt() - sim.Now(); backlog > 0 {
 		hold += backlog
@@ -415,8 +498,7 @@ func serveLocked(sim *des.Simulation, locks []*des.Resource, srv *des.Resource, 
 			grant = start
 		}
 	}
-	grant += acquire * des.Time(len(locks))
-	sim.At(grant, then)
+	return grant + acquire*des.Time(len(locks))
 }
 
 // ServerStats is a per-server utilization snapshot.

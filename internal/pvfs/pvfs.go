@@ -107,6 +107,11 @@ type FileSystem struct {
 	faults    ServerFaults
 	causal    *causal.Recorder
 	dropWrite func(off, n int64) bool
+
+	// Request-path scratch, reused by every operation (see io.go).
+	reqPool  []*serverRequest // retired request records
+	byServer []*serverRequest // groupRequests' per-server slots, all nil between calls
+	pieces   []serverPiece    // splitByServer's result
 }
 
 // ServerFaults scales per-server request service time — the fault layer's
@@ -124,7 +129,8 @@ func New(sim *des.Simulation, cfg Config) *FileSystem {
 	if cfg.StripSize < 1 {
 		panic("pvfs: strip size must be positive")
 	}
-	fs := &FileSystem{sim: sim, cfg: cfg, files: make(map[string]*File)}
+	fs := &FileSystem{sim: sim, cfg: cfg, files: make(map[string]*File),
+		byServer: make([]*serverRequest, cfg.NumServers)}
 	for i := 0; i < cfg.NumServers; i++ {
 		fs.servers = append(fs.servers, &server{
 			res: sim.NewResource(fmt.Sprintf("pvfs.server%d", i), 1),
@@ -213,6 +219,7 @@ type File struct {
 	size  int64
 	data  extentMap
 	locks map[int64]*des.Resource // lock-unit serializers (LockGranularity > 0)
+	units []int64                 // lockUnits scratch
 }
 
 // Create creates (or truncates) a file via the metadata server. Must be
@@ -278,10 +285,13 @@ type serverPiece struct {
 }
 
 // splitByServer cuts segments at strip boundaries and tags each piece with
-// its server.
+// its server. The result is the file system's scratch slice, valid until
+// the next call.
 func (f *File) splitByServer(segs []Segment) []serverPiece {
 	strip := f.fs.cfg.StripSize
-	var pieces []serverPiece
+	pieces := f.fs.pieces
+	clear(pieces) // drop the previous call's payload references
+	pieces = pieces[:0]
 	for _, s := range segs {
 		off, n := s.Offset, s.Length
 		var dataPos int64
@@ -298,5 +308,6 @@ func (f *File) splitByServer(segs []Segment) []serverPiece {
 			n -= take
 		}
 	}
+	f.fs.pieces = pieces
 	return pieces
 }
