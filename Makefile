@@ -1,6 +1,6 @@
 # Build/test/race/vet targets for the S3aSim reproduction. `make check`
 # is the PR gate: the parallel sweep executor and the workload cache must
-# stay race-clean.
+# stay race-clean, and the paper-scale goldens must reproduce byte for byte.
 
 GO ?= go
 
@@ -90,4 +90,4 @@ bench-diff:
 		-slo 'slo-burn:burn(serve.slo_violations/serve.queries)>1.8:slo=0.5,fast=1s,slow=3s' \
 		-diff results/BENCH_0007.json
 
-check: build vet test race
+check: build vet test race golden

@@ -20,11 +20,11 @@
 // chaos suite sweeps injected worker crashes over the resilient protocol and
 // reports each strategy's recovery cost (time inflation, re-executed tasks,
 // failure-detection latency). The readback suite runs the verified read
-// path: a mixed GET/PUT sweep (every durable batch re-read and checksummed
-// at 100/0, 90/10, and 50/50 GET shares) followed by the readback-under-chaos
-// battery, which re-runs committed fault plans with end-to-end content
-// verification — any content mismatch fails the suite, so a clean exit
-// certifies zero silent corruption. The scale suite runs the rank-scaling study
+// path: a mixed GET/PUT sweep (every durable batch re-read and compared
+// byte for byte at 100/0, 90/10, and 50/50 GET shares) followed by the
+// readback-under-chaos battery, which re-runs committed fault plans with
+// end-to-end content verification — any content mismatch fails the suite,
+// so a clean exit certifies zero silent corruption. The scale suite runs the rank-scaling study
 // (bounded task count, FSM worker engine) at 1k/10k/100k ranks — 1k/10k
 // under -quick — reporting wall time, event throughput, and peak memory
 // per rank; its cells run sequentially regardless of -parallel. The serve
@@ -75,8 +75,8 @@ type suiteRecord struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Parallelism int     `json:"parallelism"`
 	// CellSeconds sums per-cell wall time — the estimated sequential cost —
-	// and Speedup is CellSeconds/WallSeconds. Zero for the extensions suite,
-	// which is a bundle of heterogeneous studies.
+	// and Speedup is CellSeconds/WallSeconds. Zero for the extensions and
+	// scale suites, which report no sweep self-profile.
 	CellSeconds float64 `json:"cell_seconds,omitempty"`
 	Speedup     float64 `json:"speedup,omitempty"`
 	Cells       int     `json:"cells,omitempty"`
@@ -231,14 +231,49 @@ func main() {
 		Repetitions:   *reps,
 	}
 
-	emit := func(sr *s3asim.SweepResult) {
-		for _, tb := range sr.Tables() {
+	// show prints tables to stdout, aligned or as CSV.
+	show := func(tables ...*s3asim.Table) {
+		for _, tb := range tables {
 			if *csv {
 				fmt.Printf("# %s\n%s\n", tb.Title, tb.CSV())
 			} else {
 				fmt.Println(tb.String())
 			}
 		}
+	}
+	// metricsOf prints a suite's merged metrics snapshot under -metrics.
+	metricsOf := func(what string, snap s3asim.MetricsSnapshot) {
+		if *metrics {
+			fmt.Printf("# metrics (%s, all runs merged)\n%s\n", what, snap.Render())
+		}
+	}
+	// done prints a swept suite's stderr summary line and appends its BENCH
+	// record. cells describes the cells ("" means "<n> cells"); tail extends
+	// the line.
+	done := func(name, cells string, p s3asim.SweepPerf, tail string) *suiteRecord {
+		if cells == "" {
+			cells = fmt.Sprintf("%d cells", p.Cells)
+		}
+		fmt.Fprintf(os.Stderr,
+			"suite %s: %s in %.2fs wall at parallelism %d — %.2fx vs sequential (est.), peak %d in flight (occupancy %.0f%%), workload cache %d hits / %d misses%s\n",
+			name, cells, p.Elapsed.Seconds(), p.Parallelism, p.Speedup(),
+			p.MaxConcurrent, p.Occupancy()*100, p.Workload.Hits, p.Workload.Misses, tail)
+		record.Suites = append(record.Suites, suiteRecord{
+			Name:          name,
+			WallSeconds:   p.Elapsed.Seconds(),
+			Parallelism:   p.Parallelism,
+			CellSeconds:   p.CellTime.Seconds(),
+			Speedup:       p.Speedup(),
+			Cells:         p.Cells,
+			MaxConcurrent: p.MaxConcurrent,
+			Occupancy:     p.Occupancy(),
+			CacheHits:     p.Workload.Hits,
+			CacheMisses:   p.Workload.Misses,
+		})
+		return &record.Suites[len(record.Suites)-1]
+	}
+	emit := func(sr *s3asim.SweepResult) {
+		show(sr.Tables()...)
 		if *chart {
 			fmt.Println(sr.OverallChart(false).ASCII(90, 18))
 			fmt.Println(sr.OverallChart(true).ASCII(90, 18))
@@ -246,26 +281,8 @@ func main() {
 		if *figs != "" {
 			writeFigures(*figs, sr)
 		}
-		if *metrics {
-			fmt.Printf("# metrics (%s suite, all runs merged)\n%s\n", sr.Kind, sr.Metrics.Render())
-		}
-		p := sr.Perf
-		fmt.Fprintf(os.Stderr,
-			"suite %s: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.), peak %d in flight (occupancy %.0f%%), workload cache %d hits / %d misses\n",
-			sr.Kind, len(sr.Cells), p.Elapsed.Seconds(), p.Parallelism,
-			p.Speedup(), p.MaxConcurrent, p.Occupancy()*100, p.Workload.Hits, p.Workload.Misses)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          sr.Kind,
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(sr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
+		metricsOf(sr.Kind+" suite", sr.Metrics)
+		done(sr.Kind, "", sr.Perf, "")
 	}
 
 	if wantSweep("procs") {
@@ -303,11 +320,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *csv {
-			fmt.Printf("# %s\n%s\n", cr.Table().Title, cr.Table().CSV())
-		} else {
-			fmt.Println(cr.Table().String())
-		}
+		show(cr.Table())
 		if tel != nil {
 			fired, dumps := 0, 0
 			for _, c := range cr.Cells {
@@ -318,37 +331,16 @@ func main() {
 				}
 				dumps += c.Dumps
 			}
-			if *csv {
-				fmt.Printf("# %s\n%s\n", cr.AlertTable().Title, cr.AlertTable().CSV())
-			} else {
-				fmt.Println(cr.AlertTable().String())
-			}
+			show(cr.AlertTable())
 			fmt.Printf("telemetry chaos: %d alerts fired, %d flight dumps\n", fired, dumps)
 			writeTimeline(*flight, "chaos_timeline.html", cr.TimelineHTML())
 		}
-		if *metrics {
-			fmt.Printf("# metrics (chaos suite, all runs merged)\n%s\n", cr.Metrics.Render())
-		}
-		p := cr.Perf
-		fmt.Fprintf(os.Stderr,
-			"suite chaos: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.)\n",
-			len(cr.Cells), p.Elapsed.Seconds(), p.Parallelism, p.Speedup())
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "chaos",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(cr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
+		metricsOf("chaos suite", cr.Metrics)
+		done("chaos", "", cr.Perf, "")
 	}
 	if *suite == "readback" || *suite == "all" {
 		// Mixed GET/PUT verification sweep, then the readback-under-chaos
-		// battery. Both verify content end to end; a checksum mismatch
+		// battery. Both verify content end to end; a content mismatch
 		// anywhere fails the suite.
 		ropts := s3asim.PaperReadbackOptions()
 		if *quick {
@@ -361,30 +353,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *csv {
-			fmt.Printf("# %s\n%s\n", rr.Table().Title, rr.Table().CSV())
-		} else {
-			fmt.Println(rr.Table().String())
-		}
-		if *metrics {
-			fmt.Printf("# metrics (readback suite, all runs merged)\n%s\n", rr.Metrics.Render())
-		}
-		p := rr.Perf
-		fmt.Fprintf(os.Stderr,
-			"suite readback: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.)\n",
-			len(rr.Cells), p.Elapsed.Seconds(), p.Parallelism, p.Speedup())
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "readback",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(rr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
+		show(rr.Table())
+		metricsOf("readback suite", rr.Metrics)
+		done("readback", "", rr.Perf, "")
 
 		qopts := s3asim.PaperReadbackChaosOptions()
 		if *quick {
@@ -397,34 +368,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *csv {
-			fmt.Printf("# %s\n%s\n", cb.Table().Title, cb.Table().CSV())
-		} else {
-			fmt.Println(cb.Table().String())
-		}
-		if *metrics {
-			fmt.Printf("# metrics (readback-chaos battery, all runs merged)\n%s\n", cb.Metrics.Render())
-		}
-		p = cb.Perf
-		fmt.Fprintf(os.Stderr,
-			"suite readback-chaos: %d cells in %.2fs wall at parallelism %d — 0 mismatches\n",
-			len(cb.Cells), p.Elapsed.Seconds(), p.Parallelism)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "readback-chaos",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(cb.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
+		show(cb.Table())
+		metricsOf("readback-chaos battery", cb.Metrics)
+		done("readback-chaos", "", cb.Perf, " — 0 mismatches")
 	}
 	if *suite == "extensions" || *suite == "all" {
 		start := time.Now()
-		runExtensions(opts, *csv, effPar)
+		runExtensions(opts, show, effPar)
 		wall := time.Since(start)
 		fmt.Fprintf(os.Stderr, "suite extensions: %.2fs wall at parallelism %d\n",
 			wall.Seconds(), effPar)
@@ -447,12 +397,7 @@ func main() {
 			fatal(err)
 		}
 		wall := time.Since(start)
-		tbl := s3asim.ScaleTable(points)
-		if *csv {
-			fmt.Printf("# %s\n%s\n", tbl.Title, tbl.CSV())
-		} else {
-			fmt.Println(tbl.String())
-		}
+		show(s3asim.ScaleTable(points))
 		// Host performance goes to stderr, like every suite summary, so
 		// stdout stays bit-identical across hosts and -parallel levels.
 		for _, p := range points {
@@ -497,19 +442,11 @@ func main() {
 			}
 			sopts.Base.FaultPlan = plan
 		}
-		start := time.Now()
 		sres, err := s3asim.RunServeSweep(sopts)
 		if err != nil {
 			fatal(err)
 		}
-		wall := time.Since(start)
-		for _, tb := range sres.Tables() {
-			if *csv {
-				fmt.Printf("# %s\n%s\n", tb.Title, tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
+		show(sres.Tables()...)
 		if tel != nil {
 			fired, dumps := 0, 0
 			for _, c := range sres.Cells {
@@ -527,15 +464,7 @@ func main() {
 		for _, c := range sres.Cells {
 			queries += len(c.Queries)
 		}
-		fmt.Fprintf(os.Stderr,
-			"suite serve: %d cells (%d queries) in %.2fs wall at parallelism %d\n",
-			len(sres.Cells), queries, wall.Seconds(), effPar)
-		srec := suiteRecord{
-			Name:        "serve",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-			Cells:       len(sres.Cells),
-		}
+		srec := done("serve", fmt.Sprintf("%d cells (%d queries)", sres.Perf.Cells, queries), sres.Perf, "")
 		for _, c := range sres.Cells {
 			rec := serveCellRecord{
 				Strategy:   c.Strategy.String(),
@@ -559,7 +488,6 @@ func main() {
 			}
 			srec.Serve = append(srec.Serve, rec)
 		}
-		record.Suites = append(record.Suites, srec)
 	}
 	if *suite == "adaptive" || *suite == "all" {
 		aopts := s3asim.PaperAdaptiveOptions()
@@ -567,19 +495,11 @@ func main() {
 			aopts = s3asim.QuickAdaptiveOptions()
 		}
 		aopts.Parallelism = *parallel
-		start := time.Now()
 		ares, err := s3asim.RunAdaptiveSweep(aopts)
 		if err != nil {
 			fatal(err)
 		}
-		wall := time.Since(start)
-		for _, tb := range ares.Tables() {
-			if *csv {
-				fmt.Printf("# %s\n%s\n", tb.Title, tb.CSV())
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
+		show(ares.Tables()...)
 		// The suite's headline: never worse than the best static strategy
 		// (beyond the scale's documented tolerance: the 48-query quick scale
 		// carries a visible cold-start transient), strictly better somewhere
@@ -603,26 +523,27 @@ func main() {
 		}
 		fmt.Printf("adaptive headline: controller >= best static on all %d regimes (tol %.0f%%), strictly better on %v, %d arm switches\n",
 			len(ares.Regimes), 100*tol, wins, switches)
-		fmt.Fprintf(os.Stderr,
-			"suite adaptive: %d regimes x %d cells in %.2fs wall at parallelism %d\n",
-			len(ares.Regimes), len(ares.Regimes)*(len(ares.Strat)+1), wall.Seconds(), effPar)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "adaptive",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-			Cells:       len(ares.Regimes) * (len(ares.Strat) + 1),
-		})
+		done("adaptive", fmt.Sprintf("%d regimes x %d cells", len(ares.Regimes), ares.Perf.Cells), ares.Perf, "")
 	}
 	if *explain {
-		start := time.Now()
-		runExplainMode(opts, *csv, *parallel)
-		wall := time.Since(start)
-		fmt.Fprintf(os.Stderr, "explain: %.2fs wall at parallelism %d\n", wall.Seconds(), effPar)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "explain",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
+		// The causal-tracing matrix at the speed-sweep process count: the
+		// critical-path attribution tables plus the query-sync penalty
+		// summary (paper Figures 4–9, mechanically).
+		er, err := s3asim.RunExplain(s3asim.ExplainOptions{
+			Base:        opts.Base,
+			Procs:       opts.SpeedProcs,
+			Parallelism: *parallel,
 		})
+		if err != nil {
+			fatal(err)
+		}
+		show(er.Tables()...)
+		fmt.Printf("query-sync penalty (critical-path sync-wait, sync minus no-sync, %d procs):\n", er.Procs)
+		for _, s := range s3asim.Strategies {
+			fmt.Printf("  %-8s %+.3fms\n", s, 1e3*er.SyncWaitDelta(s).Seconds())
+		}
+		fmt.Println()
+		done("explain", "", er.Perf, "")
 	}
 	if *jsonDir != "" {
 		writeRecord(*jsonDir, record)
@@ -630,32 +551,6 @@ func main() {
 	if *diff != "" {
 		diffRecord(*diff, record)
 	}
-}
-
-// runExplainMode runs the causal-tracing matrix at the suite's speed-sweep
-// process count and prints the critical-path attribution tables plus the
-// query-sync penalty summary (paper Figures 4–9, mechanically).
-func runExplainMode(opts s3asim.Options, csv bool, parallel int) {
-	er, err := s3asim.RunExplain(s3asim.ExplainOptions{
-		Base:        opts.Base,
-		Procs:       opts.SpeedProcs,
-		Parallelism: parallel,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, tb := range er.Tables() {
-		if csv {
-			fmt.Printf("# %s\n%s\n", tb.Title, tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-	}
-	fmt.Printf("query-sync penalty (critical-path sync-wait, sync minus no-sync, %d procs):\n", er.Procs)
-	for _, s := range s3asim.Strategies {
-		fmt.Printf("  %-8s %+.3fms\n", s, 1e3*er.SyncWaitDelta(s).Seconds())
-	}
-	fmt.Println()
 }
 
 // diffRecord compares this run's record against a previously written
@@ -704,7 +599,7 @@ func diffRecord(path string, cur benchRecord) {
 }
 
 // traceSpool opens one streaming JSONL sink per (cell, repetition) run of a
-// suite — the per-cell tracing path that, unlike a shared Config.Tracer,
+// suite — the per-cell tracing path that, unlike a shared Config.Sink,
 // leaves the sweep free to run cells in parallel. Files are named
 // <suite>_<strategy>_<sync|nosync>_x<X>_rep<N>.jsonl; render any of them
 // with s3atrace.
@@ -788,34 +683,30 @@ func writeRecord(dir string, record benchRecord) {
 }
 
 // runExtensions prints the §5 future-work studies.
-func runExtensions(opts s3asim.Options, csv bool, parallel int) {
+func runExtensions(opts s3asim.Options, show func(...*s3asim.Table), parallel int) {
 	base := opts.Base
 	base.Procs = opts.SpeedProcs
-	show := func(tbl *s3asim.Table, err error) {
+	must := func(tbl *s3asim.Table, err error) *s3asim.Table {
 		if err != nil {
 			fatal(err)
 		}
-		if csv {
-			fmt.Printf("# %s\n%s\n", tbl.Title, tbl.CSV())
-		} else {
-			fmt.Println(tbl.String())
-		}
+		return tbl
 	}
 	procs := []int{base.Procs / 4, base.Procs}
 	if procs[0] < 2 {
 		procs[0] = 2
 	}
-	show(s3asim.CollectiveComparison(base, procs, parallel))
+	show(must(s3asim.CollectiveComparison(base, procs, parallel)))
 	hybrid := base
 	hybrid.Strategy = s3asim.MW
-	show(s3asim.HybridComparison(hybrid, []int{1, 2, 4}, parallel))
+	show(must(s3asim.HybridComparison(hybrid, []int{1, 2, 4}, parallel)))
 	outcomes, err := s3asim.ResumeTradeoff(base, []int{1, 5, base.Workload.NumQueries}, 0.5, parallel)
 	if err != nil {
 		fatal(err)
 	}
-	show(s3asim.ResumeTable(outcomes), nil)
-	show(s3asim.ServerSweep(base, []int{8, 16, 32, 64}, parallel))
-	show(s3asim.OutputScaleSweep(base, []float64{0.25, 1, 4}, parallel))
+	show(s3asim.ResumeTable(outcomes))
+	show(must(s3asim.ServerSweep(base, []int{8, 16, 32, 64}, parallel)))
+	show(must(s3asim.OutputScaleSweep(base, []float64{0.25, 1, 4}, parallel)))
 }
 
 // writeFigures renders the sweep as paper-style SVG figures: a line chart

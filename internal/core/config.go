@@ -11,7 +11,6 @@ import (
 	"s3asim/internal/pvfs"
 	"s3asim/internal/romio"
 	"s3asim/internal/search"
-	"s3asim/internal/trace"
 )
 
 // Segmentation selects the parallelization scheme (paper §1).
@@ -143,15 +142,11 @@ type Config struct {
 	// receive-side serialization at the master.
 	DisableMasterNICSerialization bool
 
-	// Tracer, if non-nil, records every process's phase timeline (the
-	// MPE/Jumpshot-style instrumentation of paper §3); render it with
-	// trace.Gantt or cmd/s3atrace.
-	Tracer *trace.Tracer
-	// Sink, if non-nil, additionally receives every phase-timeline event as
-	// it happens — a streaming alternative to (or companion of) Tracer. Use
-	// obs.NewStreamSink for JSONL spooling or obs.NewPerfettoSink for Chrome
-	// trace-event export. When both Tracer and Sink are set, events go to
-	// both.
+	// Sink, if non-nil, receives every process's phase-timeline event as it
+	// happens (the MPE/Jumpshot-style instrumentation of paper §3). An
+	// in-memory *trace.Tracer records the timeline for trace.Gantt or
+	// cmd/s3atrace; obs.NewStreamSink spools JSONL and obs.NewPerfettoSink
+	// exports Chrome trace events. Combine several with obs.Multi.
 	Sink obs.Sink
 	// Metrics, if non-nil, is the registry the run populates with counters,
 	// gauges, and virtual-time histograms (engine phases, pvfs requests, MPI
@@ -417,18 +412,6 @@ func (c *Config) EffectiveWorkload() search.Spec {
 		s.NumFragments = 1
 	}
 	return s
-}
-
-// sink resolves the run's timeline destination: the legacy Tracer, the
-// streaming Sink, both, or nil. The explicit nil check on Tracer matters —
-// wrapping a nil *trace.Tracer in the obs.Sink interface would yield a
-// non-nil interface that panics on use.
-func (c *Config) sink() obs.Sink {
-	var tr obs.Sink
-	if c.Tracer != nil {
-		tr = c.Tracer
-	}
-	return obs.Multi(tr, c.Sink)
 }
 
 // indMethod resolves the ADIO method for individual worker writes.

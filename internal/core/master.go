@@ -30,7 +30,7 @@ type masterState struct {
 func (rt *runtime) master(r *mpi.Rank, g *group) {
 	cfg := rt.cfg
 	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
+	pt.Trace(cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = pt
 
 	// Step 1: set up the output file and distribute input variables.

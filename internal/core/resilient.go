@@ -54,7 +54,7 @@ func (rt *runtime) observeTime(name string, t des.Time) { rt.metrics.ObserveTime
 
 // pointf emits an instantaneous marker on the fault timeline.
 func (rt *runtime) pointf(format string, args ...any) {
-	if s := rt.cfg.sink(); s != nil {
+	if s := rt.cfg.Sink; s != nil {
 		s.Point("faults", fmt.Sprintf(format, args...), rt.sim.Now())
 	}
 }
@@ -141,7 +141,7 @@ type rmasterState struct {
 func (rt *runtime) rmaster(r *mpi.Rank, g *group) {
 	cfg := rt.cfg
 	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
+	pt.Trace(cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = pt
 
 	pt.Switch(PhaseSetup)

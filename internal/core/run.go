@@ -264,7 +264,7 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 	// file system, but there is nothing to Arm and no recovery state.
 	resilient := cfg.resilient()
 	if resilient || !cfg.FaultPlan.IsEmpty() {
-		inj := fault.NewInjector(sim, cfg.FaultPlan, reg, cfg.sink())
+		inj := fault.NewInjector(sim, cfg.FaultPlan, reg, cfg.Sink)
 		inj.SetTagPolicy(droppableTag, delayableTag)
 		world.SetFaultModel(inj)
 		fs.SetFaults(inj)
@@ -430,7 +430,7 @@ func (rt *runtime) report() (*Report, error) {
 	}
 	if rt.serve != nil {
 		rep.Queries = rt.serveQueryStats()
-		rt.serveEmitSpans(cfg.sink())
+		rt.serveEmitSpans(cfg.Sink)
 	}
 	if rt.ad != nil {
 		rep.Adaptive = rt.adaptReport()
@@ -560,7 +560,7 @@ func (rt *runtime) recordMetrics(rep *Report) {
 		m.FreezeWindows(rep.Overall)
 		rep.Windows = m.Windows()
 		if eng, err := tel.NewEngine(); err == nil && eng != nil {
-			rep.Alerts = eng.Evaluate(rep.Windows, rt.cfg.sink(), rt.flight)
+			rep.Alerts = eng.Evaluate(rep.Windows, rt.cfg.Sink, rt.flight)
 		}
 		rep.FlightDumps = rt.flight.Dumps()
 	}

@@ -85,7 +85,7 @@ const (
 func (m *workerBase) begin() {
 	rt, r := m.rt, m.r
 	m.pt = NewPhaseTimer(rt.sim)
-	m.pt.Trace(rt.cfg.sink(), r.Proc().Name())
+	m.pt.Trace(rt.cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = m.pt
 	m.pt.Switch(PhaseSetup)
 	m.mergeAcc = make(map[int]int64)

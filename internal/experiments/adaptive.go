@@ -7,7 +7,6 @@ import (
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/romio"
-	"s3asim/internal/search"
 	"s3asim/internal/serve"
 	"s3asim/internal/stats"
 )
@@ -224,6 +223,8 @@ func (rr *AdaptiveRegimeResult) BestStatic() *AdaptiveCellResult {
 type AdaptiveResult struct {
 	Strat   []core.Strategy
 	Regimes []*AdaptiveRegimeResult
+	// Perf: as in SweepResult.
+	Perf SweepPerf
 }
 
 // Headline evaluates the sweep's claim: the controller is no worse than the
@@ -249,28 +250,21 @@ func (ar *AdaptiveResult) Headline(tol float64) (lost, strictWins []string) {
 // and assembles the comparison. Results are bit-identical at any
 // Parallelism.
 func RunAdaptiveSweep(opts AdaptiveOptions) (*AdaptiveResult, error) {
-	strat := opts.Strategies
-	if len(strat) == 0 {
-		strat = core.Strategies
-	}
+	strat := orAll(opts.Strategies)
 	regimes := opts.regimes()
 	ar := &AdaptiveResult{Strat: strat}
-
-	var (
-		cfgs  []core.Config
-		recs  []*causal.Recorder
-		cells []*AdaptiveCellResult
-	)
+	var cells []*AdaptiveCellResult
+	sw := &sweep{suite: "adaptive", parallelism: opts.Parallelism}
 	for _, rg := range regimes {
 		rr := &AdaptiveRegimeResult{Name: rg.name, Metric: rg.metric, Mixed: rg.mixed}
 		var arrivals []serve.Arrival
 		if rg.plan != nil {
 			arr, err := rg.plan.Generate()
 			if err != nil {
-				return nil, fmt.Errorf("adaptive sweep: %s: %w", rg.name, err)
+				return nil, fmt.Errorf("adaptive: %s: %w", rg.name, err)
 			}
 			if len(arr) == 0 {
-				return nil, fmt.Errorf("adaptive sweep: %s generated no arrivals", rg.name)
+				return nil, fmt.Errorf("adaptive: %s generated no arrivals", rg.name)
 			}
 			arrivals = arr
 		}
@@ -297,48 +291,28 @@ func RunAdaptiveSweep(opts AdaptiveOptions) (*AdaptiveResult, error) {
 			}
 			rr.Cells = append(rr.Cells, cell)
 			cells = append(cells, cell)
-			cfgs = append(cfgs, cfg)
-			recs = append(recs, causal.NewRecorder())
+			sw.cfgs = append(sw.cfgs, cfg)
 		}
 		ar.Regimes = append(ar.Regimes, rr)
 	}
 
-	par := (&Options{Base: opts.Base, Parallelism: opts.Parallelism}).parallelism()
 	regimeOf := func(cell int) adaptiveRegime { return regimes[cell/(len(strat)+1)] }
-	var cellErr error
-	_, _, err := runAllCells(par, 1, search.NewCache(), cfgs,
-		func(cell, rep int, cfg *core.Config) {
-			cfg.Causal = recs[cell]
-		},
-		func(cell, rep int, err error) error {
-			return fmt.Errorf("adaptive sweep: %s %s: %w",
-				regimeOf(cell).name, cells[cell].Label, err)
-		},
-		func(cell int, reports []*core.Report) {
-			if cellErr != nil {
-				return
-			}
-			if err := finishAdaptiveCell(cells[cell], reports[0], regimeOf(cell)); err != nil {
-				cellErr = fmt.Errorf("adaptive sweep: %s %s: %w",
-					regimeOf(cell).name, cells[cell].Label, err)
-			}
-		})
-	if err != nil {
-		return nil, err
+	sw.id = func(cell int) string { return regimeOf(cell).name + " " + cells[cell].Label }
+	sw.prep = func(cell, rep int, cfg *core.Config) { cfg.Causal = causal.NewRecorder() }
+	sw.fold = func(cell int, reports []*core.Report) error {
+		return finishAdaptiveCell(cells[cell], reports[0], regimeOf(cell))
 	}
-	if cellErr != nil {
-		return nil, cellErr
+	var err error
+	if ar.Perf, err = sw.run(); err != nil {
+		return nil, err
 	}
 	return ar, nil
 }
 
 // finishAdaptiveCell folds one run's report into its cell: the score, the
-// conservation-checked whole-run attribution, and — for the controller cell
-// — the adaptive report.
+// whole-run attribution (conservation-checked by the sweep runner), and —
+// for the controller cell — the adaptive report.
 func finishAdaptiveCell(c *AdaptiveCellResult, rep *core.Report, rg adaptiveRegime) error {
-	if err := rep.Attribution.Check(); err != nil {
-		return err
-	}
 	c.Overall = rep.Overall
 	c.Score = rep.Overall
 	c.Path = rep.Attribution.ByCat

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
 	"s3asim/internal/obs"
-	"s3asim/internal/search"
 	"s3asim/internal/stats"
 )
 
@@ -124,8 +122,8 @@ type ChaosCell struct {
 	// fault-free (x = 0) mean — 0 when the sweep has no x = 0 column.
 	Inflation float64
 	// Windows is repetition 0's windowed time-series (nil unless Telemetry
-	// was on). Every repetition's series is conservation-checked against its
-	// own snapshot before the sweep returns.
+	// was on). Like every windowed run, each repetition's series is
+	// conservation-checked against its own snapshot by the sweep runner.
 	Windows *obs.Series
 	// Alerts concatenates every repetition's alert timeline, in repetition
 	// order.
@@ -163,25 +161,21 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosResult, error) {
 	if opts.Window <= 0 {
 		opts.Window = 4 * des.Second
 	}
-	o := Options{
-		Strategies:  opts.Strategies,
-		Repetitions: opts.Repetitions,
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-		Base:        opts.Base,
-	}
 	cr := &ChaosResult{
 		Xs:    opts.Crashes,
 		Sync:  opts.Base.QuerySync,
-		Strat: o.strategies(),
+		Strat: orAll(opts.Strategies),
 		Cells: make(map[CellKey]*ChaosCell),
 	}
 	workers := opts.Base.WorkerRanks()
 	lo, hi := opts.Window/8, opts.Window
-	var (
-		keys []CellKey
-		cfgs []core.Config
-	)
+	var keys []CellKey
+	sw := &sweep{
+		suite:       "chaos",
+		parallelism: opts.Parallelism,
+		reps:        opts.Repetitions,
+		progress:    opts.Progress,
+	}
 	for _, s := range cr.Strat {
 		for _, x := range opts.Crashes {
 			cfg := opts.Base
@@ -189,69 +183,49 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosResult, error) {
 			cfg.Resilient = true
 			cfg.Telemetry = opts.Telemetry
 			keys = append(keys, CellKey{Strategy: s, QuerySync: cr.Sync, X: float64(x)})
-			cfgs = append(cfgs, cfg)
+			sw.cfgs = append(sw.cfgs, cfg)
 		}
 	}
-	cache := search.NewCache()
-	prep := func(cell, rep int, cfg *core.Config) {
+	sw.id = func(cell int) string { return fmt.Sprintf("%v crashes=%g", keys[cell].Strategy, keys[cell].X) }
+	sw.prep = func(cell, rep int, cfg *core.Config) {
 		if n := int(keys[cell].X); n > 0 {
 			cfg.FaultPlan = fault.RandomCrashes(opts.PlanSeed+int64(rep), n,
 				workers, lo, hi, opts.Restart)
 		}
 	}
-	start := time.Now()
-	var cellErr error
-	_, prof, err := runAllCells(o.parallelism(), o.reps(), cache, cfgs, prep,
-		func(cell, rep int, err error) error {
-			k := keys[cell]
-			return fmt.Errorf("chaos: %v crashes=%g rep=%d: %w", k.Strategy, k.X, rep, err)
-		},
-		func(cell int, reps []*core.Report) {
-			// onCell fires serialized in ascending cell order, so telemetry
-			// checks and flight artifacts are deterministic at any
-			// Parallelism.
-			if cellErr != nil {
-				return
+	sw.fold = func(cell int, reps []*core.Report) error {
+		k := keys[cell]
+		c := reduceChaosCell(k, reps)
+		cr.Cells[k] = c
+		for rep, r := range reps {
+			cr.Metrics = cr.Metrics.Merge(r.Metrics)
+			if r.Windows == nil {
+				continue
 			}
-			k := keys[cell]
-			c := reduceChaosCell(k, reps)
-			cr.Cells[k] = c
-			for rep, r := range reps {
-				cr.Metrics = cr.Metrics.Merge(r.Metrics)
-				if r.Windows == nil {
-					continue
-				}
-				if err := r.Windows.Conserve(r.Metrics); err != nil {
-					cellErr = fmt.Errorf("chaos: %v crashes=%g rep=%d: %w",
-						k.Strategy, k.X, rep, err)
-					return
-				}
-				if rep == 0 {
-					c.Windows = r.Windows
-				}
-				c.Alerts = append(c.Alerts, r.Alerts...)
-				c.Dumps += len(r.FlightDumps)
-				if opts.FlightDir != "" && len(r.FlightDumps) > 0 {
-					prefix := fmt.Sprintf("flight_chaos_%s_x%g_rep%d",
-						strategySlug(k.Strategy), k.X, rep)
-					files, err := writeFlightDumps(opts.FlightDir, prefix, r)
-					if err != nil {
-						cellErr = fmt.Errorf("chaos: %v crashes=%g rep=%d: %w",
-							k.Strategy, k.X, rep, err)
-						return
-					}
-					c.DumpFiles = append(c.DumpFiles, files...)
-				}
+			if rep == 0 {
+				c.Windows = r.Windows
 			}
-			o.progress("chaos %s crashes=%g: %.2fs (%.0f seen, %.0f tasks re-run)",
-				k.Strategy, k.X, c.Overall.Seconds(), c.CrashesSeen, c.Reexecuted)
-		})
+			c.Alerts = append(c.Alerts, r.Alerts...)
+			c.Dumps += len(r.FlightDumps)
+			if opts.FlightDir != "" && len(r.FlightDumps) > 0 {
+				prefix := fmt.Sprintf("flight_chaos_%s_x%g_rep%d",
+					strategySlug(k.Strategy), k.X, rep)
+				files, err := writeFlightDumps(opts.FlightDir, prefix, r)
+				if err != nil {
+					return err
+				}
+				c.DumpFiles = append(c.DumpFiles, files...)
+			}
+		}
+		sw.say("chaos %s crashes=%g: %.2fs (%.0f seen, %.0f tasks re-run)",
+			k.Strategy, k.X, c.Overall.Seconds(), c.CrashesSeen, c.Reexecuted)
+		return nil
+	}
+	perf, err := sw.run()
 	if err != nil {
 		return nil, err
 	}
-	if cellErr != nil {
-		return nil, cellErr
-	}
+	cr.Perf = perf
 	// Inflation folds in after all cells exist: each cell over its
 	// strategy's fault-free column.
 	for _, s := range cr.Strat {
@@ -264,14 +238,6 @@ func RunChaosSweep(opts ChaosOptions) (*ChaosResult, error) {
 				c.Inflation = float64(c.Overall) / float64(base.Overall)
 			}
 		}
-	}
-	cr.Perf = SweepPerf{
-		Parallelism:   o.parallelism(),
-		Elapsed:       time.Since(start),
-		CellTime:      prof.cellTime,
-		CellWall:      prof.cellWall,
-		MaxConcurrent: prof.maxConcurrent,
-		Workload:      cache.Stats(),
 	}
 	return cr, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -71,25 +72,12 @@ func forEach(parallelism, n int, job func(i int) error) error {
 	return firstErr
 }
 
-// parallelism resolves the pool width for a suite: Options.Parallelism if
-// positive, else GOMAXPROCS. A shared Tracer in the base config is the one
-// piece of cross-cell mutable state, so tracing forces sequential runs.
-// Per-cell factories (CellSink/CellMetrics) hand every run private state
-// and therefore do not restrict parallelism.
-func (o *Options) parallelism() int {
-	if o.Base.Tracer != nil {
-		return 1
-	}
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // SweepPerf records how a sweep executed in wall-clock (not virtual) time.
 type SweepPerf struct {
 	// Parallelism is the worker-pool width the sweep ran with.
 	Parallelism int
+	// Cells is the number of cells; each ran Repetitions times.
+	Cells int
 	// Elapsed is the suite's wall-clock duration.
 	Elapsed time.Duration
 	// CellTime sums the per-run wall-clock durations — an estimate of the
@@ -129,13 +117,6 @@ func (p SweepPerf) Occupancy() float64 {
 		return 0
 	}
 	return p.Speedup() / float64(p.Parallelism)
-}
-
-// cellRun is one (cell, repetition) simulation: the flattened unit of
-// parallelism of a sweep.
-type cellRun struct {
-	cell int // index into the deterministic cell order
-	rep  int
 }
 
 // simPool hands out reset-and-reused des kernels so a thousand-cell sweep
@@ -184,95 +165,165 @@ func (p *simPool) putAfterReset(s *des.Simulation) {
 	p.put(s)
 }
 
-// execProfile is the executor's self-measurement: the wall-clock cost of
-// every (cell, rep) run and the pool occupancy it achieved.
-type execProfile struct {
-	cellTime      time.Duration   // sum over cellWall
-	cellWall      []time.Duration // per job, cell-major rep-minor order
-	maxConcurrent int             // peak simulations in flight
+// sweep is one suite's cell list plus the per-cell contract every suite
+// shares. run owns what each suite would otherwise repeat: the pool width,
+// repetitions and ordered progress; the shared workload cache and the kernel
+// pool; the invariant checks every run gets; the cell-id error; and the
+// SweepPerf self-profile. A suite supplies only its configs, the cell id
+// text, optional per-run preparation, and the fold that turns a cell's
+// reports into its result.
+type sweep struct {
+	// suite prefixes every cell error: "<suite>: <cell id> rep=<r>: <cause>".
+	suite string
+	// cfgs holds one template config per cell, in deterministic cell order.
+	cfgs []core.Config
+	// id renders a cell's id for errors ("WW-List crashes=2").
+	id func(cell int) string
+	// parallelism is the requested pool width (0 = GOMAXPROCS); reps is the
+	// repetitions per cell (< 1 means 1). Repetition r varies the workload
+	// seed (seed+r), the closest analogue of the paper's 3-run averaging.
+	parallelism, reps int
+	// progress, if non-nil, receives the lines fold emits through say.
+	progress func(string)
+	// prep, if non-nil, customizes each run's private config copy (per-run
+	// sinks, registries, recorders, fault plans) before the run starts.
+	prep func(cell, rep int, cfg *core.Config)
+	// fold receives each completed cell's reports in repetition order. It is
+	// called exactly once per cell, in ascending cell order, serialized — so
+	// Progress lines and artifacts it writes are deterministic at any
+	// parallelism. An error stops dispatch and fails the sweep.
+	fold func(cell int, reports []*core.Report) error
 }
 
-// runAllCells executes every (cell, rep) of cfgs across the pool, sharing
-// workloads through cache, and returns per-cell per-rep reports in
-// deterministic order. prep, if non-nil, customizes each run's private
-// config copy (per-cell sinks and registries) before the simulation starts.
-// onCell fires exactly once per completed cell, in ascending cell order,
-// serialized under a mutex — this is what makes Options.Progress ordered
-// and race-free regardless of completion order.
-func runAllCells(par, reps int, cache *search.Cache, cfgs []core.Config,
-	prep func(cell, rep int, cfg *core.Config),
-	runErr func(cell, rep int, err error) error,
-	onCell func(cell int, reports []*core.Report)) ([][]*core.Report, execProfile, error) {
-
-	reports := make([][]*core.Report, len(cfgs))
-	for i := range reports {
-		reports[i] = make([]*core.Report, reps)
+// poolWidth resolves a sweep's pool width: requested if positive, else
+// GOMAXPROCS. A Sink in a cell's template config is shared by every run of
+// the sweep — the one piece of cross-cell mutable state — so it forces
+// sequential runs. Sinks attached per run in prep (Options.CellSink) give
+// every run private state and leave the width alone.
+func poolWidth(requested int, cfgs []core.Config) int {
+	for i := range cfgs {
+		if cfgs[i].Sink != nil {
+			return 1
+		}
 	}
+	if requested > 0 {
+		return requested
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// say formats one progress line (a no-op without a Progress callback).
+func (s *sweep) say(format string, args ...any) {
+	if s.progress != nil {
+		s.progress(fmt.Sprintf(format, args...))
+	}
+}
+
+// fail wraps a cell's failure in the one error form every suite reports.
+// rep < 0 marks a fold failure, which concerns every repetition of the cell.
+func (s *sweep) fail(cell, rep int, err error) error {
+	reps := fmt.Sprint(rep)
+	if rep < 0 {
+		reps = "all"
+	}
+	return fmt.Errorf("%s: %s rep=%s: %w", s.suite, s.id(cell), reps, err)
+}
+
+// check runs the invariant checks every run of every suite gets: whole-run
+// critical-path conservation whenever the run had a causal recorder (a
+// missing attribution fails too), and window/snapshot conservation whenever
+// it recorded a windowed series. Suite-specific checks (serve's per-query
+// paths, adaptive's headline) stay in the suites.
+func (s *sweep) check(cell, rep int, cfg *core.Config, r *core.Report) error {
+	var err error
+	if cfg.Causal != nil {
+		err = r.Attribution.Check()
+	}
+	if err == nil && r.Windows != nil {
+		err = r.Windows.Conserve(r.Metrics)
+	}
+	if err != nil {
+		return s.fail(cell, rep, err)
+	}
+	return nil
+}
+
+// run executes every (cell, repetition) across the pool and returns the
+// sweep's self-profile. Jobs are cell-major, repetition-minor; results are
+// folded in cell order regardless of completion order, so a sweep is
+// bit-identical at every parallelism. The first failure — a run error, a
+// failed check, or a fold error — stops dispatch and is returned.
+func (s *sweep) run() (SweepPerf, error) {
+	start := time.Now()
+	reps := max(s.reps, 1)
+	perf := SweepPerf{
+		Parallelism: poolWidth(s.parallelism, s.cfgs),
+		Cells:       len(s.cfgs),
+		CellWall:    make([]time.Duration, len(s.cfgs)*reps),
+	}
+	cache := search.NewCache()
 	var (
+		sims      simPool
 		mu        sync.Mutex
-		prof      = execProfile{cellWall: make([]time.Duration, len(cfgs)*reps)}
 		inFlight  int
-		remaining = make([]int, len(cfgs))
-		done      = make([]bool, len(cfgs))
 		cursor    int
+		failed    bool // no cell folds after the first failure
+		reports   = make([][]*core.Report, len(s.cfgs))
+		remaining = make([]int, len(s.cfgs))
 	)
 	for i := range remaining {
 		remaining[i] = reps
 	}
-	jobs := make([]cellRun, 0, len(cfgs)*reps)
-	for c := range cfgs {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, cellRun{cell: c, rep: r})
-		}
-	}
-	var sims simPool
-	err := forEach(par, len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := cfgs[j.cell]
-		// Repetitions vary the workload seed (seed+rep), the closest
-		// analogue of the paper's 3-run averaging.
-		cfg.Workload.Seed += int64(j.rep)
-		if prep != nil {
-			prep(j.cell, j.rep, &cfg)
+	err := forEach(perf.Parallelism, len(perf.CellWall), func(i int) error {
+		cell, rep := i/reps, i%reps
+		cfg := s.cfgs[cell]
+		cfg.Workload.Seed += int64(rep)
+		if s.prep != nil {
+			s.prep(cell, rep, &cfg)
 		}
 		cfg.Sim = sims.get()
 		wl := cache.Get(cfg.EffectiveWorkload())
 		mu.Lock()
 		inFlight++
-		if inFlight > prof.maxConcurrent {
-			prof.maxConcurrent = inFlight
-		}
+		perf.MaxConcurrent = max(perf.MaxConcurrent, inFlight)
 		mu.Unlock()
-		start := time.Now()
-		rep, err := core.RunWithWorkload(cfg, wl)
-		elapsed := time.Since(start)
+		t0 := time.Now()
+		r, err := core.RunWithWorkload(cfg, wl)
+		elapsed := time.Since(t0)
 		if err == nil {
 			sims.put(cfg.Sim)
+			err = s.check(cell, rep, &cfg, r)
 		} else {
 			sims.putAfterReset(cfg.Sim)
+			err = s.fail(cell, rep, err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		inFlight--
-		prof.cellTime += elapsed
-		prof.cellWall[i] = elapsed
-		if err != nil {
-			return runErr(j.cell, j.rep, err)
+		perf.CellTime += elapsed
+		perf.CellWall[i] = elapsed
+		if err != nil || failed {
+			failed = true
+			return err
 		}
-		reports[j.cell][j.rep] = rep
-		remaining[j.cell]--
-		if remaining[j.cell] == 0 {
-			done[j.cell] = true
-			// Flush completed cells in deterministic ascending order: a cell
-			// is announced only once every earlier cell has been.
-			for cursor < len(done) && done[cursor] {
-				if onCell != nil {
-					onCell(cursor, reports[cursor])
-				}
-				cursor++
+		if reports[cell] == nil {
+			reports[cell] = make([]*core.Report, reps)
+		}
+		reports[cell][rep] = r
+		remaining[cell]--
+		// Fold completed cells in ascending order: a cell is folded only
+		// once every earlier cell has been. Folded reports are released.
+		for cursor < len(remaining) && remaining[cursor] == 0 {
+			if err := s.fold(cursor, reports[cursor]); err != nil {
+				failed = true
+				return s.fail(cursor, -1, err)
 			}
+			reports[cursor] = nil
+			cursor++
 		}
 		return nil
 	})
-	return reports, prof, err
+	perf.Elapsed = time.Since(start)
+	perf.Workload = cache.Stats()
+	return perf, err
 }

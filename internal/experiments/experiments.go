@@ -14,13 +14,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"s3asim/internal/causal"
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/obs"
-	"s3asim/internal/search"
 	"s3asim/internal/stats"
 )
 
@@ -46,8 +44,8 @@ type Options struct {
 	// cell owns a private DES kernel, so outer parallelism never perturbs
 	// results. 0 means GOMAXPROCS; 1 runs sequentially. A sweep produces
 	// bit-identical SweepResults at every parallelism (cells are keyed and
-	// collected independent of completion order). Setting Base.Tracer forces
-	// sequential execution: the tracer is shared mutable state.
+	// collected independent of completion order). Setting Base.Sink forces
+	// sequential execution: the sink is shared mutable state.
 	Parallelism int
 	// Progress, if non-nil, receives a line per completed cell. The sweep
 	// may run cells concurrently, but Progress calls are serialized through
@@ -57,7 +55,7 @@ type Options struct {
 	Progress func(string)
 	// CellSink, if non-nil, supplies a timeline sink for each (cell,
 	// repetition) run (return nil to skip a run). Every run receives
-	// private observer state, so — unlike the shared Base.Tracer — per-cell
+	// private observer state, so — unlike a shared Base.Sink — per-cell
 	// sinks do NOT force sequential execution: the sweep stays bit-identical
 	// at any Parallelism. The factory may be called from several goroutines
 	// at once; returning a distinct sink per call is all it takes to be safe.
@@ -106,24 +104,12 @@ func QuickOptions() Options {
 	}
 }
 
-func (o *Options) strategies() []core.Strategy {
-	if len(o.Strategies) > 0 {
-		return o.Strategies
+// orAll defaults an empty strategy list to all four.
+func orAll(strategies []core.Strategy) []core.Strategy {
+	if len(strategies) > 0 {
+		return strategies
 	}
 	return core.Strategies
-}
-
-func (o *Options) reps() int {
-	if o.Repetitions < 1 {
-		return 1
-	}
-	return o.Repetitions
-}
-
-func (o *Options) progress(format string, args ...any) {
-	if o.Progress != nil {
-		o.Progress(fmt.Sprintf(format, args...))
-	}
 }
 
 // CellKey identifies one (strategy, sync, x) cell of a sweep.
@@ -219,13 +205,16 @@ func runMatrix(opts Options, kind string, xs []float64, setX func(*core.Config, 
 		Kind:  kind,
 		Xs:    xs,
 		Syncs: []bool{false, true},
-		Strat: opts.strategies(),
+		Strat: orAll(opts.Strategies),
 		Cells: make(map[CellKey]*Cell),
 	}
-	var (
-		keys []CellKey
-		cfgs []core.Config
-	)
+	var keys []CellKey
+	sw := &sweep{
+		suite:       kind,
+		parallelism: opts.Parallelism,
+		reps:        opts.Repetitions,
+		progress:    opts.Progress,
+	}
 	for _, s := range sr.Strat {
 		for _, sync := range sr.Syncs {
 			for _, x := range xs {
@@ -234,14 +223,17 @@ func runMatrix(opts Options, kind string, xs []float64, setX func(*core.Config, 
 				cfg.QuerySync = sync
 				setX(&cfg, x)
 				keys = append(keys, CellKey{Strategy: s, QuerySync: sync, X: x})
-				cfgs = append(cfgs, cfg)
+				sw.cfgs = append(sw.cfgs, cfg)
 			}
 		}
 	}
-	cache := search.NewCache()
-	prep := func(cell, rep int, cfg *core.Config) {
+	sw.id = func(cell int) string {
+		k := keys[cell]
+		return fmt.Sprintf("%v sync=%v x=%g", k.Strategy, k.QuerySync, k.X)
+	}
+	sw.prep = func(cell, rep int, cfg *core.Config) {
 		if opts.CellSink != nil {
-			cfg.Sink = opts.CellSink(keys[cell], rep)
+			cfg.Sink = obs.Multi(cfg.Sink, opts.CellSink(keys[cell], rep))
 		}
 		if opts.CellMetrics != nil {
 			cfg.Metrics = opts.CellMetrics(keys[cell], rep)
@@ -250,34 +242,21 @@ func runMatrix(opts Options, kind string, xs []float64, setX func(*core.Config, 
 			cfg.Causal = opts.CellCausal(keys[cell], rep)
 		}
 	}
-	start := time.Now()
-	_, prof, err := runAllCells(opts.parallelism(), opts.reps(), cache, cfgs, prep,
-		func(cell, rep int, err error) error {
-			k := keys[cell]
-			return fmt.Errorf("experiments: %v sync=%v x=%g rep=%d: %w",
-				k.Strategy, k.QuerySync, k.X, rep, err)
-		},
-		func(cell int, reps []*core.Report) {
-			k := keys[cell]
-			c := reduceCell(k, reps)
-			sr.Cells[k] = c
-			for _, r := range reps {
-				sr.Metrics = sr.Metrics.Merge(r.Metrics)
-			}
-			opts.progress("%s %s sync=%v x=%g: %.2fs",
-				kind, k.Strategy, k.QuerySync, k.X, c.Overall.Seconds())
-		})
+	sw.fold = func(cell int, reps []*core.Report) error {
+		k := keys[cell]
+		c := reduceCell(k, reps)
+		sr.Cells[k] = c
+		for _, r := range reps {
+			sr.Metrics = sr.Metrics.Merge(r.Metrics)
+		}
+		sw.say("%s %s sync=%v x=%g: %.2fs", kind, k.Strategy, k.QuerySync, k.X, c.Overall.Seconds())
+		return nil
+	}
+	perf, err := sw.run()
 	if err != nil {
 		return nil, err
 	}
-	sr.Perf = SweepPerf{
-		Parallelism:   opts.parallelism(),
-		Elapsed:       time.Since(start),
-		CellTime:      prof.cellTime,
-		CellWall:      prof.cellWall,
-		MaxConcurrent: prof.maxConcurrent,
-		Workload:      cache.Stats(),
-	}
+	sr.Perf = perf
 	return sr, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"s3asim/internal/causal"
 	"s3asim/internal/core"
 	"s3asim/internal/des"
-	"s3asim/internal/search"
 	"s3asim/internal/stats"
 )
 
@@ -56,20 +55,19 @@ type ExplainResult struct {
 	Strat []core.Strategy
 	Syncs []bool
 	Runs  map[CellKey]*ExplainRun
+	// Perf: as in SweepResult.
+	Perf SweepPerf
 }
 
 // RunExplain runs every (strategy, sync) combination once at opts.Procs with
-// a fresh causal recorder per run and returns the analyzed matrix. Every
-// attribution is conservation-checked before returning.
+// a fresh causal recorder per run and returns the analyzed matrix. The sweep
+// runner conservation-checks every attribution.
 func RunExplain(opts ExplainOptions) (*ExplainResult, error) {
 	procs := opts.Procs
 	if procs <= 0 {
 		procs = opts.Base.Procs
 	}
-	strat := opts.Strategies
-	if len(strat) == 0 {
-		strat = core.Strategies
-	}
+	strat := orAll(opts.Strategies)
 	er := &ExplainResult{
 		Procs: procs,
 		Strat: strat,
@@ -78,9 +76,9 @@ func RunExplain(opts ExplainOptions) (*ExplainResult, error) {
 	}
 	var (
 		keys []CellKey
-		cfgs []core.Config
 		recs []*causal.Recorder
 	)
+	sw := &sweep{suite: "explain", parallelism: opts.Parallelism}
 	for _, s := range strat {
 		for _, sync := range er.Syncs {
 			cfg := opts.Base
@@ -90,40 +88,27 @@ func RunExplain(opts ExplainOptions) (*ExplainResult, error) {
 			rec := causal.NewRecorder()
 			rec.SetCaptureFlows(opts.CaptureFlows)
 			keys = append(keys, CellKey{Strategy: s, QuerySync: sync, X: float64(procs)})
-			cfgs = append(cfgs, cfg)
+			sw.cfgs = append(sw.cfgs, cfg)
 			recs = append(recs, rec)
 		}
 	}
-	par := (&Options{Base: opts.Base, Parallelism: opts.Parallelism}).parallelism()
-	_, _, err := runAllCells(par, 1, search.NewCache(), cfgs,
-		func(cell, rep int, cfg *core.Config) { cfg.Causal = recs[cell] },
-		func(cell, rep int, err error) error {
-			k := keys[cell]
-			return fmt.Errorf("explain: %v sync=%v: %w", k.Strategy, k.QuerySync, err)
-		},
-		func(cell int, reports []*core.Report) {
-			k := keys[cell]
-			r := reports[0]
-			er.Runs[k] = &ExplainRun{
-				Strategy:    k.Strategy,
-				QuerySync:   k.QuerySync,
-				Report:      r,
-				Attribution: r.Attribution,
-				Totals:      r.CausalTotals,
-				Recorder:    recs[cell],
-			}
-		})
-	if err != nil {
-		return nil, err
+	sw.id = func(cell int) string { return fmt.Sprintf("%v sync=%v", keys[cell].Strategy, keys[cell].QuerySync) }
+	sw.prep = func(cell, rep int, cfg *core.Config) { cfg.Causal = recs[cell] }
+	sw.fold = func(cell int, reports []*core.Report) error {
+		k, r := keys[cell], reports[0]
+		er.Runs[k] = &ExplainRun{
+			Strategy:    k.Strategy,
+			QuerySync:   k.QuerySync,
+			Report:      r,
+			Attribution: r.Attribution,
+			Totals:      r.CausalTotals,
+			Recorder:    recs[cell],
+		}
+		return nil
 	}
-	for _, run := range er.Runs {
-		if run.Attribution == nil {
-			return nil, fmt.Errorf("explain: %v sync=%v produced no attribution",
-				run.Strategy, run.QuerySync)
-		}
-		if err := run.Attribution.Check(); err != nil {
-			return nil, fmt.Errorf("explain: %v sync=%v: %w", run.Strategy, run.QuerySync, err)
-		}
+	var err error
+	if er.Perf, err = sw.run(); err != nil {
+		return nil, err
 	}
 	return er, nil
 }

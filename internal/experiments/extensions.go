@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/romio"
-	"s3asim/internal/search"
 	"s3asim/internal/stats"
 )
 
@@ -18,76 +16,57 @@ import (
 // the file-system configuration ("a larger file system configuration with
 // more I/O bandwidth may have provided more scalable I/O performance", §4).
 //
-// Like the figure suites, every study shares one workload cache across its
-// runs and fans independent sweep points out across a bounded pool; rows
-// are collected in deterministic sweep order regardless of completion
-// order. Each function takes an optional trailing parallelism (default
-// GOMAXPROCS; 1 runs sequentially).
+// Every study runs its configs through the same sweep runner as the figure
+// suites: one shared workload cache, a bounded pool, the per-run invariant
+// checks, and reports collected in deterministic config order regardless of
+// completion order. Each function takes an optional trailing parallelism
+// (default GOMAXPROCS; 1 runs sequentially).
 
-// extExec bundles the shared workload cache and pool width of one study.
-type extExec struct {
-	cache *search.Cache
-	par   int
-}
-
-func newExtExec(base *core.Config, parallelism []int) extExec {
-	par := 0
+// study runs one study's configs as single-repetition cells and returns
+// their reports in config order.
+func study(name string, cfgs []core.Config, id func(cell int) string, parallelism []int) ([]*core.Report, error) {
+	reports := make([]*core.Report, len(cfgs))
+	sw := &sweep{suite: name, cfgs: cfgs, id: id, fold: func(cell int, r []*core.Report) error {
+		reports[cell] = r[0]
+		return nil
+	}}
 	if len(parallelism) > 0 {
-		par = parallelism[0]
+		sw.parallelism = parallelism[0]
 	}
-	if base.Tracer != nil {
-		par = 1 // the tracer is shared mutable state
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	return extExec{cache: search.NewCache(), par: par}
-}
-
-// run executes one simulation against the study's shared workload cache.
-func (e extExec) run(cfg core.Config) (*core.Report, error) {
-	return core.RunWithWorkload(cfg, e.cache.Get(cfg.EffectiveWorkload()))
+	_, err := sw.run()
+	return reports, err
 }
 
 // CollectiveComparison runs WW-Coll with both collective implementations
 // (ROMIO two-phase vs list I/O + forced sync) and WW-List with query sync,
 // at the given process counts.
 func CollectiveComparison(base core.Config, procs []int, parallelism ...int) (*stats.Table, error) {
-	e := newExtExec(&base, parallelism)
-	rows := make([][3]float64, len(procs))
-	err := forEach(e.par, len(procs), func(i int) error {
+	variants := []string{"two-phase", "list-sync collective", "WW-List + query sync"}
+	var cfgs []core.Config
+	for _, p := range procs {
 		cfg := base
-		cfg.Procs = procs[i]
+		cfg.Procs = p
 		cfg.Strategy = core.WWColl
 		cfg.CollMethod = romio.TwoPhase
-		twoPhase, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		cfg.CollMethod = romio.ListSync
-		listColl, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Strategy = core.WWList
-		cfg.CollMethod = romio.TwoPhase
-		cfg.QuerySync = true
-		listSync, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = [3]float64{twoPhase.Overall.Seconds(),
-			listColl.Overall.Seconds(), listSync.Overall.Seconds()}
-		return nil
-	})
+		listColl := cfg
+		listColl.CollMethod = romio.ListSync
+		listSync := cfg
+		listSync.Strategy = core.WWList
+		listSync.QuerySync = true
+		cfgs = append(cfgs, cfg, listColl, listSync)
+	}
+	reps, err := study("collective", cfgs, func(cell int) string {
+		return fmt.Sprintf("procs=%d %s", procs[cell/3], variants[cell%3])
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(
 		"§5 — collective I/O implementations (overall seconds)",
-		"processes", "two-phase", "list-sync collective", "WW-List + query sync")
+		append([]string{"processes"}, variants...)...)
 	for i, p := range procs {
-		t.AddRowf(p, rows[i][0], rows[i][1], rows[i][2])
+		t.AddRowf(p, reps[3*i].Overall.Seconds(), reps[3*i+1].Overall.Seconds(),
+			reps[3*i+2].Overall.Seconds())
 	}
 	return t, nil
 }
@@ -95,25 +74,14 @@ func CollectiveComparison(base core.Config, procs []int, parallelism ...int) (*s
 // HybridComparison runs the hybrid query/database segmentation extension:
 // the same workload and process count split into 1, 2, 4, ... groups.
 func HybridComparison(base core.Config, groups []int, parallelism ...int) (*stats.Table, error) {
-	e := newExtExec(&base, parallelism)
-	rows := make([][2]float64, len(groups))
-	err := forEach(e.par, len(groups), func(i int) error {
-		cfg := base
-		cfg.QueryGroups = groups[i]
-		rep, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		var maxMaster des.Time
-		for _, m := range rep.Masters {
-			busy := m.Total - m.Phases[core.PhaseDataDist] - m.Phases[core.PhaseSync]
-			if busy > maxMaster {
-				maxMaster = busy
-			}
-		}
-		rows[i] = [2]float64{rep.Overall.Seconds(), maxMaster.Seconds()}
-		return nil
-	})
+	cfgs := make([]core.Config, len(groups))
+	for i, g := range groups {
+		cfgs[i] = base
+		cfgs[i].QueryGroups = g
+	}
+	reps, err := study("hybrid", cfgs, func(cell int) string {
+		return fmt.Sprintf("groups=%d", groups[cell])
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +90,11 @@ func HybridComparison(base core.Config, groups []int, parallelism ...int) (*stat
 			base.Strategy, base.Procs),
 		"query-groups", "overall (s)", "master-busy max (s)")
 	for i, g := range groups {
-		t.AddRowf(g, rows[i][0], rows[i][1])
+		var maxMaster des.Time
+		for _, m := range reps[i].Masters {
+			maxMaster = max(maxMaster, m.Total-m.Phases[core.PhaseDataDist]-m.Phases[core.PhaseSync])
+		}
+		t.AddRowf(g, reps[i].Overall.Seconds(), maxMaster.Seconds())
 	}
 	return t, nil
 }
@@ -140,56 +112,58 @@ type ResumeOutcome struct {
 // ResumeTradeoff quantifies what frequent writes buy (§2: resumability):
 // for each write granularity, a failure is injected at failFrac of the
 // clean run's duration; work not yet durably flushed is lost and a resume
-// run re-processes it. Returns one outcome per granularity. Granularities
-// run concurrently (each one's resume run still depends on its clean run).
+// run re-processes it. Returns one outcome per granularity. It runs two
+// sweeps: every clean run, then the resume runs the failure point requires.
 func ResumeTradeoff(base core.Config, granularities []int, failFrac float64, parallelism ...int) ([]ResumeOutcome, error) {
-	e := newExtExec(&base, parallelism)
+	cfgs := make([]core.Config, len(granularities))
+	for i, n := range granularities {
+		cfgs[i] = base
+		cfgs[i].QueriesPerWrite = n
+	}
+	id := func(cell int) string { return fmt.Sprintf("queries/write=%d", cfgs[cell].QueriesPerWrite) }
+	clean, err := study("resume", cfgs, id, parallelism)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ResumeOutcome, len(granularities))
-	err := forEach(e.par, len(granularities), func(i int) error {
-		cfg := base
-		cfg.QueriesPerWrite = granularities[i]
-		clean, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		failAt := des.Time(failFrac * float64(clean.Overall))
+	var resumes []core.Config
+	for i, n := range granularities {
+		failAt := des.Time(failFrac * float64(clean[i].Overall))
 		// A resume can only start after the longest prefix of batches whose
 		// writes were durably complete at the failure instant.
 		resumeFrom := 0
-		for bi, ft := range clean.BatchFlushTimes {
+		for bi, ft := range clean[i].BatchFlushTimes {
 			if ft <= 0 || ft > failAt {
 				break
 			}
 			// Batch bi covers queries [bi*n, min((bi+1)*n, Q)).
-			hi := (bi + 1) * granularities[i]
-			if hi > cfg.Workload.NumQueries {
-				hi = cfg.Workload.NumQueries
-			}
-			resumeFrom = hi
+			resumeFrom = min((bi+1)*n, base.Workload.NumQueries)
 		}
-		oc := ResumeOutcome{
-			QueriesPerWrite: granularities[i],
-			NoFailure:       clean.Overall,
+		out[i] = ResumeOutcome{
+			QueriesPerWrite: n,
+			NoFailure:       clean[i].Overall,
 			FailAt:          failAt,
 			ResumeFrom:      resumeFrom,
 		}
-		if resumeFrom >= cfg.Workload.NumQueries {
-			oc.ResumeRun = 0 // everything was already durable
-		} else {
-			rcfg := cfg
-			rcfg.ResumeFromQuery = resumeFrom
-			resumed, err := e.run(rcfg)
-			if err != nil {
-				return err
-			}
-			oc.ResumeRun = resumed.Overall
+		// Runs whose work was all durable at the failure need no resume.
+		if resumeFrom < base.Workload.NumQueries {
+			cfg := cfgs[i]
+			cfg.ResumeFromQuery = resumeFrom
+			resumes = append(resumes, cfg)
 		}
-		oc.TotalWithFail = oc.FailAt + oc.ResumeRun
-		out[i] = oc
-		return nil
-	})
+	}
+	resumed, err := study("resume", resumes, func(cell int) string {
+		return fmt.Sprintf("queries/write=%d resume-from=%d", resumes[cell].QueriesPerWrite,
+			resumes[cell].ResumeFromQuery)
+	}, parallelism)
 	if err != nil {
 		return nil, err
+	}
+	for i := range out {
+		if out[i].ResumeFrom < base.Workload.NumQueries {
+			out[i].ResumeRun, resumed = resumed[0].Overall, resumed[1:]
+		}
+		out[i].TotalWithFail = out[i].FailAt + out[i].ResumeRun
 	}
 	return out, nil
 }
@@ -210,19 +184,14 @@ func ResumeTable(outcomes []ResumeOutcome) *stats.Table {
 // count (§4: "a larger file system configuration with more I/O bandwidth
 // may have provided more scalable I/O performance").
 func ServerSweep(base core.Config, servers []int, parallelism ...int) (*stats.Table, error) {
-	e := newExtExec(&base, parallelism)
-	rows := make([][2]float64, len(servers))
-	err := forEach(e.par, len(servers), func(i int) error {
-		cfg := base
-		cfg.FS.NumServers = servers[i]
-		rep, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = [2]float64{rep.Overall.Seconds(),
-			rep.WorkerAvg.Phases[core.PhaseIO].Seconds()}
-		return nil
-	})
+	cfgs := make([]core.Config, len(servers))
+	for i, n := range servers {
+		cfgs[i] = base
+		cfgs[i].FS.NumServers = n
+	}
+	reps, err := study("servers", cfgs, func(cell int) string {
+		return fmt.Sprintf("servers=%d", servers[cell])
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +199,7 @@ func ServerSweep(base core.Config, servers []int, parallelism ...int) (*stats.Ta
 		fmt.Sprintf("§4 — I/O server scaling, %s at %d procs", base.Strategy, base.Procs),
 		"servers", "overall (s)", "worker I/O phase (s)")
 	for i, n := range servers {
-		t.AddRowf(n, rows[i][0], rows[i][1])
+		t.AddRowf(n, reps[i].Overall.Seconds(), reps[i].WorkerAvg.Phases[core.PhaseIO].Seconds())
 	}
 	return t, nil
 }
@@ -241,24 +210,18 @@ func ServerSweep(base core.Config, servers []int, parallelism ...int) (*stats.Ta
 // worker memory fixed. Once the replicated database no longer fits in
 // memory, query segmentation pays its per-query re-read.
 func SegmentationComparison(base core.Config, dbSizes []int64, parallelism ...int) (*stats.Table, error) {
-	e := newExtExec(&base, parallelism)
-	rows := make([][2]float64, len(dbSizes))
-	err := forEach(e.par, len(dbSizes), func(i int) error {
+	var cfgs []core.Config
+	for _, db := range dbSizes {
 		cfg := base
-		cfg.DatabaseBytes = dbSizes[i]
+		cfg.DatabaseBytes = db
 		cfg.Segmentation = core.DatabaseSeg
-		dbRep, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		cfg.Segmentation = core.QuerySeg
-		qRep, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = [2]float64{dbRep.Overall.Seconds(), qRep.Overall.Seconds()}
-		return nil
-	})
+		q := cfg
+		q.Segmentation = core.QuerySeg
+		cfgs = append(cfgs, cfg, q)
+	}
+	reps, err := study("segmentation", cfgs, func(cell int) string {
+		return fmt.Sprintf("database=%dMB %s", dbSizes[cell/2]>>20, cfgs[cell].Segmentation)
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +230,7 @@ func SegmentationComparison(base core.Config, dbSizes []int64, parallelism ...in
 			base.Procs, base.WorkerMemoryBytes>>20),
 		"database (MB)", "database-seg (s)", "query-seg (s)")
 	for i, db := range dbSizes {
-		t.AddRowf(db>>20, rows[i][0], rows[i][1])
+		t.AddRowf(db>>20, reps[2*i].Overall.Seconds(), reps[2*i+1].Overall.Seconds())
 	}
 	return t, nil
 }
@@ -275,26 +238,16 @@ func SegmentationComparison(base core.Config, dbSizes []int64, parallelism ...in
 // OutputScaleSweep varies the result volume by scaling the per-query result
 // count (§5: "different I/O characteristics ... amount of results").
 func OutputScaleSweep(base core.Config, multipliers []float64, parallelism ...int) (*stats.Table, error) {
-	e := newExtExec(&base, parallelism)
-	rows := make([][3]float64, len(multipliers))
-	err := forEach(e.par, len(multipliers), func(i int) error {
-		cfg := base
-		cfg.Workload.MinResults = int(float64(base.Workload.MinResults) * multipliers[i])
-		cfg.Workload.MaxResults = int(float64(base.Workload.MaxResults) * multipliers[i])
-		if cfg.Workload.MinResults < 1 {
-			cfg.Workload.MinResults = 1
-		}
-		if cfg.Workload.MaxResults < cfg.Workload.MinResults {
-			cfg.Workload.MaxResults = cfg.Workload.MinResults
-		}
-		rep, err := e.run(cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = [3]float64{float64(rep.OutputBytes) / 1e6,
-			rep.Overall.Seconds(), rep.WorkerAvg.Phases[core.PhaseIO].Seconds()}
-		return nil
-	})
+	cfgs := make([]core.Config, len(multipliers))
+	for i, m := range multipliers {
+		cfgs[i] = base
+		w := &cfgs[i].Workload
+		w.MinResults = max(int(float64(base.Workload.MinResults)*m), 1)
+		w.MaxResults = max(int(float64(base.Workload.MaxResults)*m), w.MinResults)
+	}
+	reps, err := study("output-scale", cfgs, func(cell int) string {
+		return fmt.Sprintf("results x%g", multipliers[cell])
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +255,9 @@ func OutputScaleSweep(base core.Config, multipliers []float64, parallelism ...in
 		fmt.Sprintf("§5 — output volume scaling, %s at %d procs", base.Strategy, base.Procs),
 		"result-count x", "output (MB)", "overall (s)", "worker I/O phase (s)")
 	for i, m := range multipliers {
-		t.AddRowf(m, rows[i][0], rows[i][1], rows[i][2])
+		r := reps[i]
+		t.AddRowf(m, float64(r.OutputBytes)/1e6, r.Overall.Seconds(),
+			r.WorkerAvg.Phases[core.PhaseIO].Seconds())
 	}
 	return t, nil
 }

@@ -52,7 +52,8 @@ func (s *cellSpool) events() map[CellKey]map[int][]trace.Event {
 // TestCellSinkParallelMatchesSequential is the per-cell determinism
 // regression for the tentpole: a sweep with per-run tracers must produce the
 // same SweepResult AND the same per-cell timelines at any parallelism —
-// unlike Options.Base.Tracer, the factories do not force sequential runs.
+// unlike a shared Options.Base.Sink, the factories do not force sequential
+// runs.
 func TestCellSinkParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) (*SweepResult, map[CellKey]map[int][]trace.Event) {
 		opts := QuickOptions()
@@ -152,18 +153,28 @@ func TestCellMetricsAndSweepSnapshot(t *testing.T) {
 }
 
 // TestCellFactoriesDoNotForceSequential pins the contract documented on
-// Options: unlike Base.Tracer, per-cell factories leave Parallelism alone.
+// Options: unlike a shared Base.Sink, per-cell factories leave Parallelism
+// alone.
 func TestCellFactoriesDoNotForceSequential(t *testing.T) {
 	opts := QuickOptions()
+	opts.Procs = []int{2}
+	opts.Strategies = []core.Strategy{core.WWList}
 	opts.Parallelism = 4
 	opts.CellSink = func(CellKey, int) obs.Sink { return trace.New() }
 	opts.CellMetrics = func(CellKey, int) *obs.Registry { return obs.NewRegistry() }
-	if got := opts.parallelism(); got != 4 {
+	sr, err := RunProcessSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sr.Perf.Parallelism; got != 4 {
 		t.Fatalf("parallelism = %d, want 4", got)
 	}
-	opts.Base.Tracer = trace.New()
-	if got := opts.parallelism(); got != 1 {
-		t.Fatalf("a shared tracer must still force sequential, got %d", got)
+	opts.Base.Sink = trace.New()
+	if sr, err = RunProcessSweep(opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := sr.Perf.Parallelism; got != 1 {
+		t.Fatalf("a shared sink must still force sequential, got %d", got)
 	}
 }
 

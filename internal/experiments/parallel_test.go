@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"s3asim/internal/core"
+	"s3asim/internal/stats"
 	"s3asim/internal/trace"
 )
 
@@ -119,17 +120,27 @@ func TestSweepWorkloadGeneratedOncePerSpec(t *testing.T) {
 	}
 }
 
-// TestTracerForcesSequential pins the guard for the one piece of cross-cell
-// mutable state: a shared Tracer disables outer parallelism.
-func TestTracerForcesSequential(t *testing.T) {
+// TestSinkForcesSequential pins the guard for the one piece of cross-cell
+// mutable state: a Sink in the template config is shared by every run, so it
+// disables outer parallelism — and still receives every run's timeline.
+func TestSinkForcesSequential(t *testing.T) {
 	opts := QuickOptions()
+	opts.Procs = []int{2, 4}
+	opts.Strategies = []core.Strategy{core.WWList}
 	opts.Parallelism = 8
-	opts.Base.Tracer = trace.New()
-	if got := opts.parallelism(); got != 1 {
-		t.Fatalf("parallelism with tracer = %d, want 1", got)
+	tr := trace.New()
+	opts.Base.Sink = tr
+	sr, err := RunProcessSweep(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts.Base.Tracer = nil
-	if got := opts.parallelism(); got != 8 {
+	if got := sr.Perf.Parallelism; got != 1 {
+		t.Fatalf("parallelism with a shared sink = %d, want 1", got)
+	}
+	if len(tr.Events()) == 0 {
+		t.Fatal("shared sink recorded nothing")
+	}
+	if got := poolWidth(8, []core.Config{QuickOptions().Base}); got != 8 {
 		t.Fatalf("parallelism = %d, want 8", got)
 	}
 }
@@ -161,31 +172,51 @@ func TestForEachFirstError(t *testing.T) {
 	}
 }
 
-// TestParallelExtensionsMatchSequential checks the §5 studies render
+// TestParallelExtensionsMatchSequential checks all six §5 studies render
 // identical tables at any parallelism.
 func TestParallelExtensionsMatchSequential(t *testing.T) {
 	base := QuickOptions().Base
 	base.Procs = 4
-	seq, err := ServerSweep(base, []int{4, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
+	hybrid := base
+	hybrid.Procs = 8
+	hybrid.Strategy = core.MW
+	seg := base
+	seg.WorkerMemoryBytes = 64 << 20
+	studies := []struct {
+		name string
+		run  func(par int) (*stats.Table, error)
+	}{
+		{"ServerSweep", func(par int) (*stats.Table, error) {
+			return ServerSweep(base, []int{4, 8}, par)
+		}},
+		{"CollectiveComparison", func(par int) (*stats.Table, error) {
+			return CollectiveComparison(base, []int{4, 6}, par)
+		}},
+		{"HybridComparison", func(par int) (*stats.Table, error) {
+			return HybridComparison(hybrid, []int{1, 2}, par)
+		}},
+		{"ResumeTradeoff", func(par int) (*stats.Table, error) {
+			out, err := ResumeTradeoff(base, []int{1, 2, base.Workload.NumQueries}, 0.5, par)
+			return ResumeTable(out), err
+		}},
+		{"SegmentationComparison", func(par int) (*stats.Table, error) {
+			return SegmentationComparison(seg, []int64{16 << 20, 256 << 20}, par)
+		}},
+		{"OutputScaleSweep", func(par int) (*stats.Table, error) {
+			return OutputScaleSweep(base, []float64{0.5, 1, 2}, par)
+		}},
 	}
-	par, err := ServerSweep(base, []int{4, 8}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Fatalf("ServerSweep differs:\nseq:\n%s\npar:\n%s", seq, par)
-	}
-	cseq, err := CollectiveComparison(base, []int{4, 6}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpar, err := CollectiveComparison(base, []int{4, 6}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cseq.String() != cpar.String() {
-		t.Fatalf("CollectiveComparison differs:\nseq:\n%s\npar:\n%s", cseq, cpar)
+	for _, st := range studies {
+		seq, err := st.run(1)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		par, err := st.run(4)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if seq.String() != par.String() {
+			t.Fatalf("%s differs:\nseq:\n%s\npar:\n%s", st.name, seq, par)
+		}
 	}
 }

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
 	"s3asim/internal/obs"
 	"s3asim/internal/romio"
-	"s3asim/internal/search"
 	"s3asim/internal/stats"
 )
 
@@ -19,7 +17,7 @@ import (
 // immediately read back at a given GET share (s3bench-style verification
 // traffic). The chaos suite re-runs the fault plans of the chaos sweep with
 // content verification on: a recovery protocol that silently lost, tore, or
-// duplicated bytes would surface here as a checksum mismatch, which
+// duplicated bytes would surface here as a content mismatch, which
 // core.Run turns into a hard error — a clean suite IS the assertion.
 
 // ReadbackOptions scales the mixed GET/PUT readback sweep.
@@ -133,23 +131,19 @@ func RunReadbackSweep(opts ReadbackOptions) (*ReadbackResult, error) {
 	if len(opts.Mixes) == 0 {
 		opts.Mixes = []int{100, 90, 50}
 	}
-	o := Options{
-		Strategies:  opts.Strategies,
-		Repetitions: opts.Repetitions,
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-		Base:        opts.Base,
-	}
 	rr := &ReadbackResult{
 		Mixes: opts.Mixes,
 		Sync:  opts.Base.QuerySync,
-		Strat: o.strategies(),
+		Strat: orAll(opts.Strategies),
 		Cells: make(map[CellKey]*ReadbackCell),
 	}
-	var (
-		keys []CellKey
-		cfgs []core.Config
-	)
+	var keys []CellKey
+	sw := &sweep{
+		suite:       "readback",
+		parallelism: opts.Parallelism,
+		reps:        opts.Repetitions,
+		progress:    opts.Progress,
+	}
 	for _, s := range rr.Strat {
 		for _, get := range opts.Mixes {
 			coll := opts.Collective && s == core.WWColl
@@ -162,27 +156,23 @@ func RunReadbackSweep(opts ReadbackOptions) (*ReadbackResult, error) {
 			cfg.CaptureData = true
 			cfg.Readback = rc
 			keys = append(keys, CellKey{Strategy: s, QuerySync: rr.Sync, X: float64(get)})
-			cfgs = append(cfgs, cfg)
+			sw.cfgs = append(sw.cfgs, cfg)
 		}
 	}
-	cache := search.NewCache()
-	start := time.Now()
-	_, prof, err := runAllCells(o.parallelism(), o.reps(), cache, cfgs, nil,
-		func(cell, rep int, err error) error {
-			k := keys[cell]
-			return fmt.Errorf("readback: %v get=%g%% rep=%d: %w", k.Strategy, k.X, rep, err)
-		},
-		func(cell int, reps []*core.Report) {
-			k := keys[cell]
-			c := reduceReadbackCell(k, reps)
-			rr.Cells[k] = c
-			for _, r := range reps {
-				rr.Metrics = rr.Metrics.Merge(r.Metrics)
-			}
-			o.progress("readback %s get=%g%%: %.2fs (%.1fx image read back, 0 mismatches)",
-				k.Strategy, k.X, c.Overall.Seconds(), c.ReadShare)
-		})
-	if err != nil {
+	sw.id = func(cell int) string { return fmt.Sprintf("%v get=%g%%", keys[cell].Strategy, keys[cell].X) }
+	sw.fold = func(cell int, reps []*core.Report) error {
+		k := keys[cell]
+		c := reduceReadbackCell(k, reps)
+		rr.Cells[k] = c
+		for _, r := range reps {
+			rr.Metrics = rr.Metrics.Merge(r.Metrics)
+		}
+		sw.say("readback %s get=%g%%: %.2fs (%.1fx image read back, 0 mismatches)",
+			k.Strategy, k.X, c.Overall.Seconds(), c.ReadShare)
+		return nil
+	}
+	var err error
+	if rr.Perf, err = sw.run(); err != nil {
 		return nil, err
 	}
 	// Slowdown folds in after all cells exist: each cell over its strategy's
@@ -197,14 +187,6 @@ func RunReadbackSweep(opts ReadbackOptions) (*ReadbackResult, error) {
 				c.Slowdown = float64(c.Overall) / float64(base.Overall)
 			}
 		}
-	}
-	rr.Perf = SweepPerf{
-		Parallelism:   o.parallelism(),
-		Elapsed:       time.Since(start),
-		CellTime:      prof.cellTime,
-		CellWall:      prof.cellWall,
-		MaxConcurrent: prof.maxConcurrent,
-		Workload:      cache.Stats(),
 	}
 	return rr, nil
 }
@@ -351,7 +333,7 @@ func (rc *ReadbackChaosResult) Cell(s core.Strategy, plan int) *ReadbackChaosCel
 
 // RunReadbackChaos executes the readback-under-chaos battery: every strategy
 // re-runs every committed fault plan with end-to-end verification on. Any
-// checksum mismatch fails the corresponding run — and therefore the suite —
+// content mismatch fails the corresponding run — and therefore the suite —
 // so a returned result certifies zero mismatches across the battery.
 func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 	if opts.InRunReads < 1 {
@@ -364,23 +346,19 @@ func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 	if len(opts.Plans) == 0 {
 		opts.Plans = defaultChaosPlans(workers[len(workers)-1], 40*des.Millisecond)
 	}
-	o := Options{
-		Strategies:  opts.Strategies,
-		Repetitions: opts.Repetitions,
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-		Base:        opts.Base,
-	}
 	rc := &ReadbackChaosResult{
 		Plans: opts.Plans,
 		Sync:  opts.Base.QuerySync,
-		Strat: o.strategies(),
+		Strat: orAll(opts.Strategies),
 		Cells: make(map[CellKey]*ReadbackChaosCell),
 	}
-	var (
-		keys []CellKey
-		cfgs []core.Config
-	)
+	var keys []CellKey
+	sw := &sweep{
+		suite:       "readback-chaos",
+		parallelism: opts.Parallelism,
+		reps:        opts.Repetitions,
+		progress:    opts.Progress,
+	}
 	for _, s := range rc.Strat {
 		for pi, p := range opts.Plans {
 			plan, err := fault.Parse(p.Spec)
@@ -398,37 +376,26 @@ func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 				PostRun:    true,
 			}
 			keys = append(keys, CellKey{Strategy: s, QuerySync: rc.Sync, X: float64(pi)})
-			cfgs = append(cfgs, cfg)
+			sw.cfgs = append(sw.cfgs, cfg)
 		}
 	}
-	cache := search.NewCache()
-	start := time.Now()
-	_, prof, err := runAllCells(o.parallelism(), o.reps(), cache, cfgs, nil,
-		func(cell, rep int, err error) error {
-			k := keys[cell]
-			return fmt.Errorf("readback-chaos: %v plan=%s rep=%d: %w",
-				k.Strategy, opts.Plans[int(k.X)].Name, rep, err)
-		},
-		func(cell int, reps []*core.Report) {
-			k := keys[cell]
-			c := reduceReadbackChaosCell(k, opts.Plans[int(k.X)].Name, reps)
-			rc.Cells[k] = c
-			for _, r := range reps {
-				rc.Metrics = rc.Metrics.Merge(r.Metrics)
-			}
-			o.progress("readback-chaos %s %s: %.2fs (%.0f extents verified, 0 mismatches)",
-				k.Strategy, c.Plan, c.Overall.Seconds(), c.Extents)
-		})
-	if err != nil {
-		return nil, err
+	sw.id = func(cell int) string {
+		return fmt.Sprintf("%v plan=%s", keys[cell].Strategy, opts.Plans[int(keys[cell].X)].Name)
 	}
-	rc.Perf = SweepPerf{
-		Parallelism:   o.parallelism(),
-		Elapsed:       time.Since(start),
-		CellTime:      prof.cellTime,
-		CellWall:      prof.cellWall,
-		MaxConcurrent: prof.maxConcurrent,
-		Workload:      cache.Stats(),
+	sw.fold = func(cell int, reps []*core.Report) error {
+		k := keys[cell]
+		c := reduceReadbackChaosCell(k, opts.Plans[int(k.X)].Name, reps)
+		rc.Cells[k] = c
+		for _, r := range reps {
+			rc.Metrics = rc.Metrics.Merge(r.Metrics)
+		}
+		sw.say("readback-chaos %s %s: %.2fs (%.0f extents verified, 0 mismatches)",
+			k.Strategy, c.Plan, c.Overall.Seconds(), c.Extents)
+		return nil
+	}
+	var err error
+	if rc.Perf, err = sw.run(); err != nil {
+		return nil, err
 	}
 	return rc, nil
 }

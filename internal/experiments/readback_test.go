@@ -97,33 +97,33 @@ func TestReadbackChaosBatteryCleanAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestReadbackSweepDetectsInjectedDrop runs one cell of the sweep
-// configuration with the test-only silent write-dropper installed: the sweep
-// must fail, not report a clean pass.
+// TestReadbackSweepDetectsInjectedDrop runs one cell of the readback sweep
+// with the test-only silent write-dropper installed: the sweep must fail
+// with the one cell error form, not report a clean pass.
 func TestReadbackSweepDetectsInjectedDrop(t *testing.T) {
 	opts := QuickReadbackOptions()
-	cfg := opts.Base
-	cfg.Strategy = core.WWList
-	cfg.CaptureData = true
-	rc, err := readbackConfFor(90, opts.Method, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Readback = rc
+	opts.Strategies = []core.Strategy{core.WWList}
+	opts.Mixes = []int{90}
+	opts.Parallelism = 1
 	dropped := false
-	cfg.TestWriteDropper = func(off, n int64) bool {
+	opts.Base.TestWriteDropper = func(off, n int64) bool {
 		if dropped || n == 0 {
 			return false
 		}
 		dropped = true
 		return true
 	}
-	rep, err := core.Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "readback verification failed") {
-		t.Fatalf("silent drop survived the sweep cell: %v", err)
+	rr, err := RunReadbackSweep(opts)
+	if err == nil {
+		t.Fatal("silent drop survived the sweep")
 	}
-	if rep == nil || rep.ReadbackMismatches == 0 {
-		t.Fatal("mismatch count not reported")
+	if rr != nil {
+		t.Fatal("failed sweep returned a result")
+	}
+	for _, want := range []string{"readback: WW-List get=90% rep=0: ", "readback verification failed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("sweep error %q does not contain %q", err, want)
+		}
 	}
 }
 

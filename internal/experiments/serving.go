@@ -7,7 +7,6 @@ import (
 	"s3asim/internal/core"
 	"s3asim/internal/des"
 	"s3asim/internal/obs"
-	"s3asim/internal/search"
 	"s3asim/internal/serve"
 	"s3asim/internal/stats"
 )
@@ -160,9 +159,8 @@ type ServeCell struct {
 	// Metrics is the post-run registry snapshot including the serve latency
 	// histograms (serve.latency and serve.latency.<tenant>).
 	Metrics obs.Snapshot
-	// Windows is the windowed time-series (nil unless Telemetry was on). Its
-	// window sums are conservation-checked against Metrics before the sweep
-	// returns.
+	// Windows is the windowed time-series (nil unless Telemetry was on). The
+	// sweep runner conservation-checks its window sums against Metrics.
 	Windows *obs.Series
 	// Alerts is the cell's alert timeline: every SLO rule firing and
 	// resolution, in virtual-time order.
@@ -184,6 +182,8 @@ type ServeResult struct {
 	SLO       des.Time
 	// Cells is strategy-major, load-minor — the deterministic sweep order.
 	Cells []*ServeCell
+	// Perf: as in SweepResult.
+	Perf SweepPerf
 }
 
 // Cell returns the outcome for (strategy, load), or nil.
@@ -198,16 +198,15 @@ func (sr *ServeResult) Cell(s core.Strategy, load float64) *ServeCell {
 
 // RunServeSweep runs the serving scenario over every (strategy, load) cell
 // and assembles the telemetry. Every per-query attribution is
-// conservation-checked; results are bit-identical at any Parallelism.
+// conservation-checked (and, like every run, the whole-run attribution and
+// any windowed series by the sweep runner); results are bit-identical at any
+// Parallelism.
 func RunServeSweep(opts ServeOptions) (*ServeResult, error) {
 	loads := opts.Loads
 	if len(loads) == 0 {
 		loads = []float64{1}
 	}
-	strat := opts.Strategies
-	if len(strat) == 0 {
-		strat = core.Strategies
-	}
+	strat := orAll(opts.Strategies)
 	slo := opts.SLO
 	if slo <= 0 {
 		slo = des.Second
@@ -230,19 +229,16 @@ func RunServeSweep(opts ServeOptions) (*ServeResult, error) {
 		p := opts.Plan.Scaled(load)
 		arr, err := p.Generate()
 		if err != nil {
-			return nil, fmt.Errorf("serve sweep: load %g: %w", load, err)
+			return nil, fmt.Errorf("serve: load=%g: %w", load, err)
 		}
 		if len(arr) == 0 {
-			return nil, fmt.Errorf("serve sweep: load %g generated no arrivals", load)
+			return nil, fmt.Errorf("serve: load=%g generated no arrivals", load)
 		}
 		lps[i] = loadPlan{plan: p, arrivals: arr}
 	}
 
-	var (
-		cells []*ServeCell
-		cfgs  []core.Config
-		recs  []*causal.Recorder
-	)
+	var recs []*causal.Recorder
+	sw := &sweep{suite: "serve", parallelism: opts.Parallelism}
 	for _, s := range strat {
 		for li, load := range loads {
 			cfg := opts.Base
@@ -255,57 +251,40 @@ func RunServeSweep(opts ServeOptions) (*ServeResult, error) {
 				SLO:       slo,
 			}
 			cfg.Telemetry = opts.Telemetry
-			cells = append(cells, &ServeCell{
+			sr.Cells = append(sr.Cells, &ServeCell{
 				Strategy:    s,
 				Load:        load,
 				OfferedRate: lps[li].plan.OfferedRate(),
 			})
-			cfgs = append(cfgs, cfg)
+			sw.cfgs = append(sw.cfgs, cfg)
 			recs = append(recs, causal.NewRecorder())
 		}
 	}
-
-	par := (&Options{Base: opts.Base, Parallelism: opts.Parallelism}).parallelism()
-	var cellErr error
-	_, _, err := runAllCells(par, 1, search.NewCache(), cfgs,
-		func(cell, rep int, cfg *core.Config) {
-			cfg.Causal = recs[cell]
-		},
-		func(cell, rep int, err error) error {
-			c := cells[cell]
-			return fmt.Errorf("serve sweep: %v load %g: %w", c.Strategy, c.Load, err)
-		},
-		func(cell int, reports []*core.Report) {
-			// onCell fires serialized, in ascending cell order, so flight
-			// dumps land on disk deterministically regardless of Parallelism.
-			if cellErr != nil {
-				return
+	sw.id = func(cell int) string {
+		return fmt.Sprintf("%v load=%g", sr.Cells[cell].Strategy, sr.Cells[cell].Load)
+	}
+	sw.prep = func(cell, rep int, cfg *core.Config) { cfg.Causal = recs[cell] }
+	sw.fold = func(cell int, reports []*core.Report) error {
+		c := sr.Cells[cell]
+		if err := finishServeCell(c, reports[0], recs[cell],
+			lps[cell%len(loads)].arrivals, slo); err != nil {
+			return err
+		}
+		if opts.FlightDir != "" && len(c.Dumps) > 0 {
+			prefix := fmt.Sprintf("flight_serve_%s_load%s",
+				strategySlug(c.Strategy), trimFloat(c.Load))
+			files, err := writeFlightDumps(opts.FlightDir, prefix, reports[0])
+			if err != nil {
+				return err
 			}
-			c := cells[cell]
-			li := cell % len(loads)
-			if err := finishServeCell(c, reports[0], recs[cell],
-				lps[li].arrivals, slo); err != nil {
-				cellErr = err
-				return
-			}
-			if opts.FlightDir != "" && len(c.Dumps) > 0 {
-				prefix := fmt.Sprintf("flight_serve_%s_load%s",
-					strategySlug(c.Strategy), trimFloat(c.Load))
-				files, err := writeFlightDumps(opts.FlightDir, prefix, reports[0])
-				if err != nil {
-					cellErr = fmt.Errorf("serve sweep: %v load %g: %w", c.Strategy, c.Load, err)
-					return
-				}
-				c.DumpFiles = files
-			}
-		})
-	if err != nil {
+			c.DumpFiles = files
+		}
+		return nil
+	}
+	var err error
+	if sr.Perf, err = sw.run(); err != nil {
 		return nil, err
 	}
-	if cellErr != nil {
-		return nil, cellErr
-	}
-	sr.Cells = cells
 	return sr, nil
 }
 
@@ -332,17 +311,10 @@ func finishServeCell(c *ServeCell, rep *core.Report, rec *causal.Recorder,
 	c.Windows = rep.Windows
 	c.Alerts = rep.Alerts
 	c.Dumps = rep.FlightDumps
-	if c.Windows != nil {
-		// The tentpole invariant: every window sum reconciles exactly with
-		// the end-of-run snapshot (same discipline as causal.Check).
-		if err := c.Windows.Conserve(c.Metrics); err != nil {
-			return fmt.Errorf("serve sweep: %v load %g: %w", c.Strategy, c.Load, err)
-		}
-	}
 
 	h, ok := c.Metrics.Hists["serve.latency"]
 	if !ok {
-		return fmt.Errorf("serve sweep: %v load %g: no latency histogram", c.Strategy, c.Load)
+		return fmt.Errorf("no latency histogram")
 	}
 	c.P50 = des.FromSeconds(h.Quantile(0.50))
 	c.P90 = des.FromSeconds(h.Quantile(0.90))
@@ -385,8 +357,7 @@ func finishServeCell(c *ServeCell, rep *core.Report, rec *causal.Recorder,
 			q := rep.Queries[qi]
 			att := rec.CriticalPathBetween(q.Proc, q.Arrival, q.Done)
 			if err := att.Check(); err != nil {
-				return fmt.Errorf("serve sweep: %v load %g query %d: %w",
-					c.Strategy, c.Load, q.Q, err)
+				return fmt.Errorf("query %d: %w", q.Q, err)
 			}
 			for cat := causal.Category(0); cat < causal.NumCategories; cat++ {
 				sb.Path[cat] += att.ByCat[cat]

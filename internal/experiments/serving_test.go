@@ -90,6 +90,7 @@ func TestServeSweepDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq.Perf, par.Perf = SweepPerf{}, SweepPerf{}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("serve sweep differs between parallelism 1 and 4")
 	}

@@ -48,7 +48,7 @@ func reasonSlug(reason string) string {
 // writeFlightDumps writes every flight dump in rep as a JSONL artifact named
 // <prefix>_<seq>_<reason-slug>.jsonl under dir (created if missing) and
 // returns the paths in dump order. Callers invoke this from the serialized
-// onCell hook in ascending cell order, so the artifact set is deterministic
+// sweep fold in ascending cell order, so the artifact set is deterministic
 // at any sweep parallelism.
 func writeFlightDumps(dir, prefix string, rep *core.Report) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

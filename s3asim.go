@@ -400,7 +400,7 @@ func QuickReadbackChaosOptions() ReadbackChaosOptions {
 }
 
 // RunReadbackChaos re-runs the committed fault plans with end-to-end
-// verification on: a returned result certifies zero checksum mismatches.
+// verification on: a returned result certifies zero content mismatches.
 func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 	return experiments.RunReadbackChaos(opts)
 }
@@ -419,8 +419,8 @@ type (
 )
 
 // Tracer records a phase timeline in memory; TraceEvent is one interval or
-// marker of it. Attach via Config.Tracer, render with TraceGantt or export
-// with WritePerfetto.
+// marker of it. Attach via Config.Sink (MultiSink to pair it with another
+// sink), render with TraceGantt or export with WritePerfetto.
 type (
 	Tracer     = trace.Tracer
 	TraceEvent = trace.Event
