@@ -84,6 +84,38 @@ func TestReadbackDetectsSilentWriteDrop(t *testing.T) {
 	}
 }
 
+// TestInRunReadbackDetectsSilentWriteDrop pins in-run verification on its
+// own (no post-run pass): the file system keeps the writer's bytes by
+// reference and reads return views of them, so writer and store share
+// memory, yet a dropped payload stores nothing and the re-read against the
+// writer's bytes must still mismatch, for every strategy and read method.
+func TestInRunReadbackDetectsSilentWriteDrop(t *testing.T) {
+	for _, s := range Strategies {
+		for _, m := range []romio.Method{romio.Posix, romio.ListIO, romio.DataSieve} {
+			cfg := readbackConfig(s, m)
+			cfg.Readback.PostRun = false
+			dropped := false
+			cfg.TestWriteDropper = func(off, n int64) bool {
+				if dropped || n == 0 {
+					return false
+				}
+				dropped = true
+				return true
+			}
+			rep, err := Run(cfg)
+			if !dropped {
+				t.Fatalf("%v/%v: dropper never fired", s, m)
+			}
+			if err == nil || !strings.Contains(err.Error(), "readback verification failed") {
+				t.Fatalf("%v/%v: silent drop not detected in-run, err=%v", s, m, err)
+			}
+			if rep == nil || rep.ReadbackMismatches == 0 {
+				t.Fatalf("%v/%v: report carries no in-run mismatches", s, m)
+			}
+		}
+	}
+}
+
 // TestImageOracleDetectsSilentWriteDrop pins the out-of-band image check on
 // its own: with readback off, a capturing run whose write was silently
 // zeroed must fail verifyImage's exact comparison against the generator.

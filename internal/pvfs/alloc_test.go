@@ -50,6 +50,61 @@ func TestIssueOpSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestReadDataViewAllocs pins the zero-copy read: on a capturing file, a
+// read inside one stored write returns a view of the writer's bytes, so
+// ReadData allocates nothing.
+func TestReadDataViewAllocs(t *testing.T) {
+	sim := des.New()
+	fs := New(sim, testConfig()) // captures, 100-byte strips
+	port := freePort(sim)
+	data := make([]byte, 400)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	var op IssueOp
+	sim.Spawn("client", func(p *des.Proc) {
+		f := fs.Create(p, "out")
+		f.Write(p, port, 0, 400, data) // four strip pieces, rejoined
+		op.InitRead(p, f, port, 150, 200)
+		op.Step()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := op.ReadData()
+	if len(got) != 200 || &got[0] != &data[150] {
+		t.Fatal("read inside one stored write is not a view of the writer's bytes")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { op.ReadData() }); allocs != 0 {
+		t.Fatalf("ReadData inside one stored write allocated %.1f/run, want 0", allocs)
+	}
+}
+
+// TestExtentMapCoverageWriteAllocs pins the coverage-only write: once the
+// span list has grown to the traffic's width, strided pieces landing out of
+// order (each round opening holes, then filling them, so the spans merge
+// back into one) allocate nothing.
+func TestExtentMapCoverageWriteAllocs(t *testing.T) {
+	var m extentMap
+	var base int64
+	round := func() {
+		for w := int64(0); w < 4; w++ { // writer w owns pieces w, w+4, ...
+			for p := int64(0); p < 16; p++ {
+				m.write(base+(p*4+w)*64, 64, nil)
+			}
+		}
+		base += 64 * 64
+	}
+	round() // grow the span list
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("coverage-only write allocated %.1f per 64 pieces, want 0", allocs)
+	}
+	if len(m.spans) != 1 || m.coverage() != base || m.overlapped != 0 {
+		t.Fatalf("spans %d coverage %d overlapped %d: want one span of %d bytes",
+			len(m.spans), m.coverage(), m.overlapped, base)
+	}
+}
+
 // TestIssueOpRearmWhilePendingPanics pins the reuse guard: an IssueOp whose
 // server requests are still in flight cannot be re-armed, since its records
 // and gate still belong to the previous operation.

@@ -271,7 +271,7 @@ func (r *serverRequest) Fire() {
 			for _, seg := range r.segs {
 				data := seg.Data
 				if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
-					data = nil // silent loss: extent recorded, payload zeroed
+					data = nil // silent loss: coverage recorded, no bytes stored
 				}
 				f.data.write(seg.Offset, seg.Length, data)
 				if seg.Offset+seg.Length > f.size {
@@ -322,7 +322,9 @@ func (r *serverRequest) serve(fs *FileSystem, srv *server) {
 }
 
 // InitWrite arms op as a contiguous write of n bytes at off. data may be nil
-// unless the file system captures real bytes. A non-positive n is a no-op.
+// unless the file system captures real bytes; a capturing file system keeps
+// data by reference, so the caller must not modify it afterwards (see
+// Segment). A non-positive n is a no-op.
 func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n int64, data []byte) {
 	op.rearm()
 	if n <= 0 {
@@ -336,7 +338,9 @@ func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n int64, dat
 // InitWriteList arms op as a native noncontiguous list-I/O write: all
 // segments in one operation, one batched request per touched server, issued
 // in parallel. This is the PVFS2 list I/O interface of [Ching et al. 2002]
-// that the WW-List strategy exercises. An empty segment list is a no-op.
+// that the WW-List strategy exercises. A capturing file system keeps each
+// segment's Data by reference (see Segment). An empty segment list is a
+// no-op.
 func (op *IssueOp) InitWriteList(p *des.Proc, f *File, port *Port, segs []Segment) {
 	op.rearm()
 	if len(segs) == 0 {
@@ -390,7 +394,8 @@ func (op *IssueOp) InitSync(p *des.Proc, f *File, port *Port) {
 
 // ReadData returns the stored bytes of an InitRead-armed op (zero-filled
 // gaps) when the file system captures data, nil otherwise. Valid only after
-// Step has returned true.
+// Step has returned true. Like File.ReadBack it may return a read-only view
+// of stored bytes: copy it into a buffer you own before modifying it.
 func (op *IssueOp) ReadData() []byte {
 	if op.readN <= 0 || !op.f.fs.cfg.CaptureData {
 		return nil
@@ -400,7 +405,8 @@ func (op *IssueOp) ReadData() []byte {
 
 // ReadSegsData returns the stored bytes per segment of an
 // InitReadList-armed op (zero-filled gaps) when the file system captures
-// data, nil otherwise. Valid only after Step has returned true.
+// data, nil otherwise. Valid only after Step has returned true. Each entry
+// may be a read-only view of stored bytes, as with ReadData.
 func (op *IssueOp) ReadSegsData() [][]byte {
 	if len(op.readSegs) == 0 || !op.f.fs.cfg.CaptureData {
 		return nil
@@ -412,8 +418,8 @@ func (op *IssueOp) ReadSegsData() [][]byte {
 	return out
 }
 
-// Write performs a contiguous write of n bytes at off. data may be nil
-// unless the file system captures real bytes.
+// Write performs a contiguous write of n bytes at off; see
+// IssueOp.InitWrite for data's ownership.
 func (f *File) Write(p *des.Proc, port *Port, off, n int64, data []byte) {
 	var op IssueOp
 	op.InitWrite(p, f, port, off, n, data)
@@ -429,7 +435,8 @@ func (f *File) WriteList(p *des.Proc, port *Port, segs []Segment) {
 }
 
 // Read performs a contiguous read; with capture enabled the stored bytes
-// (zero-filled gaps) are returned, otherwise nil.
+// (zero-filled gaps, possibly a read-only view; see ReadData) are returned,
+// otherwise nil.
 func (f *File) Read(p *des.Proc, port *Port, off, n int64) []byte {
 	var op IssueOp
 	op.InitRead(p, f, port, off, n)
@@ -438,7 +445,8 @@ func (f *File) Read(p *des.Proc, port *Port, off, n int64) []byte {
 }
 
 // ReadList performs a native noncontiguous list-I/O read; with capture
-// enabled the stored bytes per segment are returned, otherwise nil.
+// enabled the stored bytes per segment are returned (see ReadSegsData),
+// otherwise nil.
 func (f *File) ReadList(p *des.Proc, port *Port, segs []Segment) [][]byte {
 	var op IssueOp
 	op.InitReadList(p, f, port, segs)

@@ -172,9 +172,10 @@ func (fs *FileSystem) ScheduleOutage(server int, at, dur des.Time) {
 // SetWriteDropper installs a test-only corruption hook: any write segment
 // for which fn returns true is acknowledged and fully accounted (dirty
 // bytes, coverage, file size) but its payload is silently discarded — the
-// stored extent holds zeroes. This models a silent data-loss fault that no
-// offset bookkeeping can see; only content verification (readback
-// checksumming) catches it. Nil (the default) disables dropping.
+// range stores no bytes and reads back as zeroes. This models a silent
+// data-loss fault that no offset bookkeeping can see; only content
+// verification (readback checksumming) catches it. Nil (the default)
+// disables dropping.
 func (fs *FileSystem) SetWriteDropper(fn func(off, n int64) bool) { fs.dropWrite = fn }
 
 // SetMetrics attaches a registry; every subsequent server-request completion
@@ -256,14 +257,18 @@ func (f *File) OverlappedBytes() int64 { return f.data.overlapped }
 // FullyCovers reports whether every byte of [0, size) has been written.
 func (f *File) FullyCovers(size int64) bool { return f.data.covers(size) }
 
-// ReadBack returns captured bytes for [off, off+n), zero-filled in gaps.
+// ReadBack returns captured bytes for [off, off+n), zero-filled in gaps. The
+// result may be a read-only view of stored bytes (whenever one stored write
+// covers the range): the caller must not modify it, and must copy it first
+// to patch it. Later writes to the file do not change it.
 func (f *File) ReadBack(off, n int64) []byte { return f.data.read(off, n) }
 
 // Visit calls fn, in file order, with each stored piece of [off, off+n): its
 // file offset and an in-place view of its captured bytes, which fn must not
 // modify or retain. It returns false, stopping early, if fn does or if any
 // byte of the range is a gap (never written, or written without capture);
-// an empty range returns true. Unlike ReadBack it copies nothing.
+// an empty range returns true. Unlike ReadBack it never copies, even across
+// the boundaries between stored writes.
 func (f *File) Visit(off, n int64, fn func(off int64, b []byte) bool) bool {
 	return f.data.visit(off, n, fn)
 }
@@ -297,7 +302,7 @@ func (f *File) splitByServer(segs []Segment) []serverPiece {
 		var dataPos int64
 		for n > 0 {
 			inStrip := strip - off%strip
-			take := min64(n, inStrip)
+			take := min(n, inStrip)
 			p := serverPiece{server: f.serverFor(off), seg: Segment{Offset: off, Length: take}}
 			if s.Data != nil {
 				p.seg.Data = s.Data[dataPos : dataPos+take]

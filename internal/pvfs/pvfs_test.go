@@ -478,10 +478,11 @@ func TestPropertyListAndContigEquivalent(t *testing.T) {
 	}
 }
 
-// TestFileVisit exercises the in-place view on a real file: a write that
-// crosses strip boundaries (stored as one extent per server piece), a
-// partial overwrite, and a gap. Covered ranges visit the same bytes
-// ReadBack copies; any gap is a mismatch.
+// TestFileVisit exercises the in-place view on a real file: writes from
+// separately allocated buffers that cross strip boundaries (each write's
+// server pieces rejoin into one stored extent, since they continue one
+// another in memory), a partial overwrite, and a gap. Covered ranges visit
+// the same bytes ReadBack returns; any gap is a mismatch.
 func TestFileVisit(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig()) // 100-byte strips
@@ -489,11 +490,17 @@ func TestFileVisit(t *testing.T) {
 	var f *File
 	sim.Spawn("client", func(p *des.Proc) {
 		f = fs.Create(p, "out")
-		data := make([]byte, 350)
-		for i := range data {
-			data[i] = byte(i)
+		// File offset 50+i holds byte(i) for i in [0, 350), written as two
+		// buffers: [50, 200) over two strips and [200, 400) over two more.
+		head, tail := make([]byte, 150), make([]byte, 200)
+		for i := range head {
+			head[i] = byte(i)
 		}
-		f.Write(p, port, 50, 350, data)                           // [50, 400): four strips
+		for i := range tail {
+			tail[i] = byte(150 + i)
+		}
+		f.Write(p, port, 50, 150, head)
+		f.Write(p, port, 200, 200, tail)
 		f.Write(p, port, 120, 30, bytes.Repeat([]byte{0xAB}, 30)) // overwrite inside a strip
 		f.Write(p, port, 500, 20, bytes.Repeat([]byte{7}, 20))    // leaves [400, 500) a gap
 	})
@@ -516,9 +523,9 @@ func TestFileVisit(t *testing.T) {
 		t.Fatalf("visit over strip-split extents: ok=%v, bytes match=%v", ok, bytes.Equal(got, f.ReadBack(60, 300)))
 	}
 	if pieces < 4 {
-		t.Fatalf("range crossing strips and an overwrite visited %d pieces, want >= 4", pieces)
+		t.Fatalf("range crossing two writes and an overwrite visited %d pieces, want >= 4", pieces)
 	}
-	if got[120-60] != 0xAB || got[150-60] != 100 { // file offset 150 holds data[100]
+	if got[120-60] != 0xAB || got[150-60] != 100 || got[250-60] != 200 {
 		t.Fatal("visit does not show the overwrite in place")
 	}
 	for _, r := range [][2]int64{{390, 20}, {0, 60}, {400, 100}, {510, 20}} {

@@ -151,10 +151,11 @@ func (op *WriteSegsOp) Step() bool {
 			if !op.issue.Step() {
 				return false
 			}
-			img := op.issue.ReadData()
-			if img == nil {
-				img = make([]byte, op.winN)
-			}
+			// Patch the window in a buffer this op owns: ReadData may be a
+			// read-only view of stored bytes, and the patched window is
+			// handed to the file system by the write below.
+			img := make([]byte, op.winN)
+			copy(img, op.issue.ReadData()) // nil unless capturing
 			for k := 0; k < op.j; k++ {
 				s := op.sorted[k]
 				lo := s.Offset

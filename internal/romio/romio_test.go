@@ -191,6 +191,58 @@ func TestDataSieveSegmentLargerThanBuffer(t *testing.T) {
 	}
 }
 
+// TestDataSieveOwnsItsWindow pins the read-modify-write ownership rule: a
+// capturing file stores writers' bytes by reference and reads back views of
+// them, so the sieve must patch a copy of the window it read, never the
+// view. One buffer is written at two file offsets (a writer may hand one
+// slice over twice), then sieved writes overlay both copies: after every
+// write the image must match a flat reference, and the shared buffer must
+// be untouched. Patching the view in place would rewrite the other copy.
+func TestDataSieveOwnsItsWindow(t *testing.T) {
+	const size, second = 512, 1024
+	h := DefaultHints()
+	h.IndWriteMethod = DataSieve
+	h.SieveBufferSize = 128
+	e := newEnv(t, 1, h)
+	shared := pattern(0, size)
+	ref := make([]byte, second+size)
+	copy(ref, shared)
+	copy(ref[second:], shared)
+	rng := rand.New(rand.NewSource(7))
+	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
+		e.f.WriteAt(r, 0, size, shared)
+		e.f.WriteAt(r, second, size, shared)
+		for round := 0; round < 12; round++ {
+			// Sparse segments inside one copy, with fresh bytes each.
+			base := int64(rng.Intn(2)) * second
+			var segs []pvfs.Segment
+			for off := base + int64(rng.Intn(40)); off < base+size; {
+				n := int64(rng.Intn(24)) + 1
+				if off+n > base+size {
+					n = base + size - off
+				}
+				data := make([]byte, n)
+				rng.Read(data)
+				segs = append(segs, pvfs.Segment{Offset: off, Length: n, Data: data})
+				copy(ref[off:], data)
+				off += n + int64(rng.Intn(60)) + 1
+			}
+			e.f.WriteSegs(r, segs)
+			if !bytes.Equal(e.f.PV().ReadBack(0, int64(len(ref))), ref) {
+				t.Errorf("round %d: image diverged from the reference", round)
+				return
+			}
+			if !bytes.Equal(shared, pattern(0, size)) {
+				t.Errorf("round %d: the sieve modified a writer's buffer", round)
+				return
+			}
+		}
+	})
+	if err := e.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestListIOFasterThanPosixForScatteredSegments(t *testing.T) {
 	segs := sparseSegs(0, 16, 40, 40) // spans all 4 servers repeatedly
 	run := func(m Method) des.Time {
