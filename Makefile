@@ -48,14 +48,17 @@ bench:
 bench-quick:
 	S3ASIM_BENCH_SCALE=quick $(GO) test -bench=. -benchmem -benchtime=1x
 
-# Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput,
-# process switches, Signal wake/broadcast, timed-wait re-arm (goroutine and
-# state-machine waiters), the MPI message path and the PVFS request path
-# riding on them as task-driven records, the adaptive controller's decision
-# path (DESIGN.md §16), and result-content fill and exact match in MB/s
-# (DESIGN.md §14). The steady-state paths must stay 0 allocs/op; the pvfs
-# and mpi request paths are pinned by TestIssueOpSteadyStateAllocs and
-# TestIsendIrecvAllocs (one allocation per Isend and per Irecv). The pvfs
+# Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput
+# and the calendar heap at 2,048, 10k and 100k pending events, process
+# switches, Signal wake/broadcast, timed-wait re-arm (goroutine and
+# state-machine waiters), the MPI message path (including fan-in onto
+# 10,000 posted receives) and the PVFS request path riding on them as
+# task-driven records, the adaptive controller's decision path (DESIGN.md
+# §16), and result-content fill and exact match in MB/s (DESIGN.md §14).
+# The steady-state paths must stay 0 allocs/op; the pvfs and mpi request
+# paths are pinned by TestIssueOpSteadyStateAllocs and TestIsendIrecvAllocs
+# (0 allocations per Isend+Free and per Irecv+Free once the pools are
+# warm). The pvfs
 # line runs the write benchmarks and the extent map on list-I/O traffic
 # (BenchmarkExtentMapListIO), but not BenchmarkExtentMapWrite: its scattered
 # 8-byte writes never touch or abut one another, so no spans merge, the

@@ -19,9 +19,11 @@ type masterState struct {
 	mergeAcc  map[int]int64 // accumulated merge bytes per query
 	complete  map[int]bool  // query fully processed
 
-	scoreReqs   []*mpi.Request // outstanding result receives
-	offsetSends []*mpi.Request // offset-list / token sends in flight
-	flushed     int            // group-local batches flushed so far
+	scores      *mpi.RequestSet   // outstanding result receives
+	ready       []*mpi.Request    // masterDrain scratch: completed score receives
+	offsetSends []*mpi.Request    // offset-list / token sends in flight
+	perWorker   [][]search.Result // flushBatch scratch: offset lists by worker position
+	flushed     int               // group-local batches flushed so far
 }
 
 // master runs Algorithm 1 for one group: distribute (query, fragment)
@@ -47,6 +49,7 @@ func (rt *runtime) master(r *mpi.Rank, g *group) {
 		assigned:   make(map[int][]int),
 		mergeAcc:   make(map[int]int64),
 		complete:   make(map[int]bool),
+		scores:     mpi.NewRequestSet(r),
 	}
 	st.nextQ = g.loQ
 	for q := g.loQ; q < g.hiQ; q++ {
@@ -83,7 +86,7 @@ func (rt *runtime) master(r *mpi.Rank, g *group) {
 			if have {
 				r.Send(m.Source, tagWorkReply, replyMsgBytes, t)
 				pt.Switch(PhaseGather)
-				st.scoreReqs = append(st.scoreReqs, r.Irecv(m.Source, tagScores))
+				st.scores.Add(r.Irecv(m.Source, tagScores))
 			} else {
 				r.Send(m.Source, tagWorkReply, replyMsgBytes, nil)
 				st.notified++
@@ -91,11 +94,13 @@ func (rt *runtime) master(r *mpi.Rank, g *group) {
 		case st.processed < st.totalTasks:
 			// All workers notified; only stragglers' results remain.
 			pt.Switch(PhaseGather)
-			r.WaitAny(st.scoreReqs)
+			st.scores.WaitAny()
 		default:
 			// Steps 20–22: everything scheduled, processed, and flushed.
 			pt.Switch(PhaseGather)
 			r.WaitAll(st.offsetSends...)
+			r.FreeAll(st.offsetSends...)
+			st.offsetSends = nil
 			pt.Switch(PhaseSync)
 			rt.final.Arrive(r)
 			// The barrier released, so every worker write is durable — the
@@ -109,23 +114,21 @@ func (rt *runtime) master(r *mpi.Rank, g *group) {
 	}
 }
 
-// masterDrain processes every completed score receive: merge accounting,
-// query completion, and batch flushing (step 10 and steps 14–18).
+// masterDrain processes every score receive completed by now, in the order
+// they were posted: merge accounting, query completion, and batch flushing
+// (step 10 and steps 14–18). Receives completing during the merges wait for
+// the next drain.
 func (rt *runtime) masterDrain(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterState) {
 	cfg := rt.cfg
 	pt.Switch(PhaseGather)
-	kept := st.scoreReqs[:0]
-	var ready []*mpi.Message
-	for _, req := range st.scoreReqs {
-		if req.Done() {
-			ready = append(ready, req.Message())
-		} else {
-			kept = append(kept, req)
-		}
+	st.ready = st.ready[:0]
+	for req := st.scores.Take(); req != nil; req = st.scores.Take() {
+		st.ready = append(st.ready, req)
 	}
-	st.scoreReqs = kept
-	for _, m := range ready {
-		sm := m.Payload.(scoreMsg)
+	for _, req := range st.ready {
+		m := req.Message()
+		sm, src := m.Payload.(scoreMsg), m.Source
+		r.Free(req)
 		q := sm.Task.Q
 		// Merge the arriving ordered list into the master's ordered list:
 		// full results under MW, scores only under worker-writing (§2).
@@ -135,7 +138,7 @@ func (rt *runtime) masterDrain(r *mpi.Rank, pt *PhaseTimer, g *group, st *master
 		}
 		rt.mergeSleep(r, cfg.mergeTime(st.mergeAcc[q], newBytes))
 		st.mergeAcc[q] += newBytes
-		st.assigned[q][sm.Task.F] = m.Source
+		st.assigned[q][sm.Task.F] = src
 		st.remaining[q]--
 		st.processed++
 		if st.remaining[q] == 0 {
@@ -232,12 +235,18 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 		// Steps 15–16: build and send per-worker offset lists. Every
 		// worker gets a message (possibly empty) so it can track batch
 		// progress and, under WW-Coll, join the collective round.
-		perWorker := make(map[int][]search.Result, len(g.workers))
+		// A group's workers are the consecutive ranks after its master, so
+		// a worker's list sits at rank-masterRank-1. Each list is sent
+		// away (the worker keeps it), so only the index is reused.
+		if st.perWorker == nil {
+			st.perWorker = make([][]search.Result, len(g.workers))
+		}
+		clear(st.perWorker)
 		for q := b.LoQ; q < b.HiQ; q++ {
 			qry := &rt.wl.Queries[q]
 			for _, res := range qry.Results {
-				w := st.assigned[q][res.Fragment]
-				perWorker[w] = append(perWorker[w], res)
+				i := st.assigned[q][res.Fragment] - g.masterRank - 1
+				st.perWorker[i] = append(st.perWorker[i], res)
 			}
 		}
 		if rt.ad != nil {
@@ -246,34 +255,49 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 			writers := len(g.workers)
 			if strat != WWColl {
 				writers = 0
-				for _, w := range g.workers {
-					if len(perWorker[w]) > 0 {
+				for _, list := range st.perWorker {
+					if len(list) > 0 {
 						writers++
 					}
 				}
 			}
 			rt.adaptFlushStart(gb, writers)
 		}
-		for _, w := range g.workers {
-			msg := offsetMsg{Batch: bi, Placements: perWorker[w]}
+		// Empty lists differ only in their (nil) placements, so one boxed
+		// payload serves every worker without any.
+		var empty any
+		for i, w := range g.workers {
+			msg := offsetMsg{Batch: bi, Placements: st.perWorker[i]}
 			if rt.ad != nil {
 				msg.Strat, msg.Hints = strat, hints
 			}
-			bytes := int64(offsetHdrBytes) + int64(len(perWorker[w]))*offsetPerResult
+			var payload any
+			if len(msg.Placements) > 0 {
+				payload = msg
+			} else {
+				if empty == nil {
+					empty = msg
+				}
+				payload = empty
+			}
+			bytes := int64(offsetHdrBytes) + int64(len(msg.Placements))*offsetPerResult
 			st.offsetSends = append(st.offsetSends,
-				r.Isend(w, tagOffsets, bytes, msg))
+				r.Isend(w, tagOffsets, bytes, payload))
 		}
 		// Worker-writing durability is stamped by the workers as their
 		// writes (and syncs) complete; see workerWrite.
 	}
-	// Step 16: retire completed offset-list sends.
-	kept := st.offsetSends[:0]
-	for _, req := range st.offsetSends {
-		if !req.Done() {
-			kept = append(kept, req)
-		}
+	// Step 16: retire completed offset-list sends. They leave the master's
+	// send NIC in the order they were queued, so the completed ones are a
+	// prefix. (A rendezvous-sized list completes only on delivery, so
+	// completed lists queued behind it wait for a later retire or the
+	// final WaitAll.)
+	n := 0
+	for n < len(st.offsetSends) && st.offsetSends[n].Done() {
+		r.Free(st.offsetSends[n])
+		n++
 	}
-	st.offsetSends = kept
+	st.offsetSends = st.offsetSends[n:]
 }
 
 // batchData materializes a batch's result bytes in file order (capture

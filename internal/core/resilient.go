@@ -200,7 +200,7 @@ func (rt *runtime) rmaster(r *mpi.Rank, g *group) {
 		rt.rmExpireLeases(r, m)
 		rt.rmExpireAcks(r, m)
 		rt.rmFlush(r, m)
-		rt.rmRetireSends(m)
+		rt.rmRetireSends(r, m)
 		rt.rmCheckStuck(r, m)
 	}
 	rt.rmShutdown(r, m)
@@ -265,17 +265,20 @@ func (rt *runtime) rmNextDeadline(m *rmasterState) des.Time {
 func (rt *runtime) rmDrainOne(r *mpi.Rank, m *rmasterState) bool {
 	switch {
 	case m.scoreReq.Done():
-		msg := m.scoreReq.Message()
+		q := m.scoreReq
 		m.scoreReq = r.Irecv(mpi.AnySource, tagScores)
-		rt.rmHandleScore(r, m, msg)
+		rt.rmHandleScore(r, m, q.Message())
+		r.Free(q)
 	case m.ackReq.Done():
-		msg := m.ackReq.Message()
+		q := m.ackReq
 		m.ackReq = r.Irecv(mpi.AnySource, tagWriteAck)
-		rt.rmHandleAck(m, msg)
+		rt.rmHandleAck(m, q.Message())
+		r.Free(q)
 	case m.workReq.Done():
-		msg := m.workReq.Message()
+		q := m.workReq
 		m.workReq = r.Irecv(mpi.AnySource, tagWorkRequest)
-		rt.rmHandleWorkReq(r, m, msg)
+		rt.rmHandleWorkReq(r, m, q.Message())
+		r.Free(q)
 	default:
 		return false
 	}
@@ -789,11 +792,13 @@ func (rt *runtime) rmSendRecoveryWave(r *mpi.Rank, m *rmasterState, bi int) {
 	rb.recovery = make(map[task]bool)
 }
 
-// rmRetireSends drops completed fire-and-forget sends.
-func (rt *runtime) rmRetireSends(m *rmasterState) {
+// rmRetireSends frees and drops completed fire-and-forget sends.
+func (rt *runtime) rmRetireSends(r *mpi.Rank, m *rmasterState) {
 	kept := m.sends[:0]
 	for _, q := range m.sends {
-		if !q.Done() {
+		if q.Done() {
+			r.Free(q)
+		} else {
 			kept = append(kept, q)
 		}
 	}
@@ -839,19 +844,21 @@ func (rt *runtime) rmShutdown(r *mpi.Rank, m *rmasterState) {
 		r.WaitAnyUntil([]*mpi.Request{m.finReq, m.workReq}, r.Now()+cfg.effDetect())
 		for m.finReq.Done() {
 			src := m.finReq.Message().Source
+			r.Free(m.finReq)
 			m.finReq = r.Irecv(mpi.AnySource, tagFin)
 			delete(finWait, src)
 		}
 		for m.workReq.Done() {
 			// A late revival: order it down too; it fins before exiting.
 			msg := m.workReq.Message()
+			src, rq := msg.Source, msg.Payload.(workReqMsg)
+			r.Free(m.workReq)
 			m.workReq = r.Irecv(mpi.AnySource, tagWorkRequest)
-			rq := msg.Payload.(workReqMsg)
-			if rq.Inc > m.incarn[msg.Source] {
-				m.incarn[msg.Source] = rq.Inc
-				finWait[msg.Source] = true
+			if rq.Inc > m.incarn[src] {
+				m.incarn[src] = rq.Inc
+				finWait[src] = true
 				m.sends = append(m.sends,
-					r.Isend(msg.Source, tagControl, ctlMsgBytes, ctlMsg{Shutdown: true}))
+					r.Isend(src, tagControl, ctlMsgBytes, ctlMsg{Shutdown: true}))
 			}
 		}
 		if rt.faults != nil {
@@ -863,11 +870,12 @@ func (rt *runtime) rmShutdown(r *mpi.Rank, m *rmasterState) {
 		}
 	}
 	r.WaitAll(m.sends...)
+	r.FreeAll(m.sends...)
 	m.sends = nil
-	r.Cancel(m.workReq)
-	r.Cancel(m.scoreReq)
-	r.Cancel(m.ackReq)
-	r.Cancel(m.finReq)
+	for _, q := range [...]*mpi.Request{m.workReq, m.scoreReq, m.ackReq, m.finReq} {
+		r.Cancel(q)
+		r.Free(q)
+	}
 }
 
 // Deterministic map-key iteration helpers.

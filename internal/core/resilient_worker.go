@@ -253,17 +253,20 @@ func (m *rworkerFSM) step() bool {
 		if !m.waitAll.Step() {
 			return false
 		}
-		m.pending = nil
+		m.freePending()
 		m.pt.Switch(PhaseSync)
-		m.wait.Init(r, r.Isend(boss, tagFin, finMsgBytes, nil))
+		m.reqSend = r.Isend(boss, tagFin, finMsgBytes, nil)
+		m.wait.Init(r, m.reqSend)
 		m.pc = rwExitFin
 	case rwExitFin:
 		if !m.wait.Step() {
 			return false
 		}
+		r.Free(m.reqSend)
 		for _, q := range [...]*mpi.Request{m.offReq, m.tokReq, m.ctlReq, m.repReq} {
 			if q != nil {
 				r.Cancel(q)
+				r.Free(q)
 			}
 		}
 		m.pt.Finish()
@@ -395,6 +398,7 @@ func (m *rworkerFSM) stepDrain() bool {
 			switch {
 			case m.ctlReq.Done():
 				cm := m.ctlReq.Message().Payload.(ctlMsg)
+				r.Free(m.ctlReq)
 				m.ctlReq = r.Irecv(boss, tagControl)
 				if cm.Shutdown {
 					m.shutdown = true
@@ -403,6 +407,7 @@ func (m *rworkerFSM) stepDrain() bool {
 				}
 			case completed(m.offReq):
 				m.om = m.offReq.Message().Payload.(offsetMsg)
+				r.Free(m.offReq)
 				m.offReq = r.Irecv(boss, tagOffsets)
 				if m.om.Inc != r.Incarnation() {
 					continue // addressed to a dead predecessor of this rank
@@ -433,10 +438,12 @@ func (m *rworkerFSM) stepDrain() bool {
 				// on "any receive completed", and a done repReq nobody
 				// collects would spin that park forever at constant virtual
 				// time.
+				r.Free(m.repReq)
 				m.repReq = r.Irecv(boss, tagWorkReply)
 				rt.count("fault.stale_replies", 1)
 			case completed(m.tokReq):
 				tk := m.tokReq.Message().Payload.(tokMsg)
+				r.Free(m.tokReq)
 				m.tokReq = r.Irecv(boss, tagSyncToken)
 				if tk.Inc == r.Incarnation() && tk.Sync {
 					m.pt.Switch(PhaseSync)
@@ -514,6 +521,7 @@ func (m *rworkerFSM) stepRequest() bool {
 			}
 			if m.repReq.Done() {
 				rep := m.repReq.Message().Payload.(workReplyMsg)
+				r.Free(m.repReq)
 				m.repReq = r.Irecv(boss, tagWorkReply)
 				if rep.Seq != m.seq {
 					m.startDrain() // stale replay of an earlier sequence

@@ -176,8 +176,15 @@ func Run(cfg Config) (*Report, error) {
 // across concurrent runs is safe: the engine and the report path only read
 // it (see search.Cache).
 func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
+	rep, _, err := runCell(cfg, wl)
+	return rep, err
+}
+
+// runCell is RunWithWorkload that also hands back the run's runtime, so
+// tests can inspect the simulated world once the calendar has drained.
+func runCell(cfg Config, wl *search.Workload) (*Report, *runtime, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.CaptureData {
 		cfg.FS.CaptureData = true
@@ -192,7 +199,7 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 	if wl == nil {
 		wl = search.Generate(cfg.Workload)
 	} else if wl.Spec.Key() != cfg.Workload.Key() {
-		return nil, fmt.Errorf("core: supplied workload was generated from a different spec (%s vs %s)",
+		return nil, nil, fmt.Errorf("core: supplied workload was generated from a different spec (%s vs %s)",
 			wl.Spec.Key(), cfg.Workload.Key())
 	}
 	sim := cfg.Sim
@@ -302,13 +309,14 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		}
 	}
 	if err := sim.Run(); err != nil {
-		return nil, fmt.Errorf("core: %s sync=%v procs=%d groups=%d: %w",
+		return nil, nil, fmt.Errorf("core: %s sync=%v procs=%d groups=%d: %w",
 			cfg.Strategy, cfg.QuerySync, cfg.Procs, cfg.QueryGroups, err)
 	}
 	if rt.runErr != nil {
-		return nil, rt.runErr
+		return nil, nil, rt.runErr
 	}
-	return rt.report()
+	rep, err := rt.report()
+	return rep, rt, err
 }
 
 // buildGroups splits processes and queries across QueryGroups groups:
@@ -522,10 +530,14 @@ func (rt *runtime) recordMetrics(rep *Report) {
 	m.Add("mpi.messages", int64(rep.Messages))
 	m.Add("mpi.bytes", int64(rep.NetBytes))
 	m.Set("run.overall_s", rep.Overall.Seconds())
+	var phaseNames [NumPhases]string // built once per run, not per rank
+	for p := range phaseNames {
+		phaseNames[p] = "phase." + Phase(p).String()
+	}
 	for rank, t := range rt.timers {
 		b := t.Buckets()
-		for p := Phase(0); p < NumPhases; p++ {
-			m.ObserveTime("phase."+p.String(), b[p])
+		for p, name := range phaseNames {
+			m.ObserveTime(name, b[p])
 		}
 		r := rt.world.Rank(rank)
 		m.Observe("mpi.rank_messages", float64(r.MessagesSent()))

@@ -183,7 +183,7 @@ func (rt *runtime) serveNext(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterSt
 // does not delay durability of in-flight queries.
 func (rt *runtime) serveIdle(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterState, deadline des.Time) {
 	for rt.sim.Now() < deadline {
-		if len(st.scoreReqs) == 0 {
+		if st.scores.Len() == 0 {
 			// Nothing in flight: sleep straight to the arrival. The paper
 			// bills master waiting to data distribution.
 			pt.Switch(PhaseDataDist)
@@ -191,7 +191,7 @@ func (rt *runtime) serveIdle(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterSt
 			continue
 		}
 		pt.Switch(PhaseGather)
-		r.WaitAnyUntil(st.scoreReqs, deadline)
+		st.scores.WaitAnyUntil(deadline)
 		rt.masterDrain(r, pt, g, st)
 	}
 }

@@ -45,6 +45,7 @@ type workerBase struct {
 	rcoll   romio.CollReadOp
 
 	pending  []*mpi.Request // in-flight score (and ack/request) sends
+	reqSend  *mpi.Request   // the send m.wait waits out (work request, fin)
 	mergeAcc map[int]int64  // worker-local merged bytes per query
 
 	// Batch-write sub-machine.
@@ -119,15 +120,23 @@ func (m *workerBase) armLoadDatabase() bool {
 	return true
 }
 
-// retire drops completed sends from the pending list.
+// retire frees completed sends and drops them from the pending list.
 func (m *workerBase) retire() {
 	kept := m.pending[:0]
 	for _, q := range m.pending {
-		if !q.Done() {
+		if q.Done() {
+			m.r.Free(q)
+		} else {
 			kept = append(kept, q)
 		}
 	}
 	m.pending = kept
+}
+
+// freePending frees every pending send once a WaitAll over them returned.
+func (m *workerBase) freePending() {
+	m.r.FreeAll(m.pending...)
+	m.pending = m.pending[:0]
 }
 
 // startWrite arms the batch-write sub-machine for this worker's share of
@@ -568,24 +577,27 @@ func (m *workerFSM) step() bool {
 		// honored while waiting so a request-blocked worker joins the
 		// post-write barrier without first taking another task.
 		m.pt.Switch(PhaseDataDist)
-		m.wait.Init(r, r.Isend(boss, tagWorkRequest, requestMsgBytes, nil))
+		m.reqSend = r.Isend(boss, tagWorkRequest, requestMsgBytes, nil)
+		m.wait.Init(r, m.reqSend)
 		m.pc = wfSendReq
 	case wfSendReq:
 		if !m.wait.Step() {
 			return false
 		}
+		r.Free(m.reqSend)
 		m.replyReq = r.Irecv(boss, tagWorkReply)
 		m.pc = wfReplyCheck
 	case wfReplyCheck:
 		if m.replyReq.Done() {
-			reply := m.replyReq.Message()
-			if reply.Payload == nil {
+			payload := m.replyReq.Message().Payload
+			r.Free(m.replyReq)
+			if payload == nil {
 				m.noMore = true
 				m.progress = true
 				m.pc = wfRetire
 				return true
 			}
-			m.setTask(reply.Payload.(task))
+			m.setTask(payload.(task))
 			m.pc = wfGate
 			return true
 		}
@@ -688,12 +700,13 @@ func (m *workerFSM) step() bool {
 		if !m.waitAll.Step() {
 			return false
 		}
-		m.pending = nil
+		m.freePending()
 		m.pc = wfLoopHead
 	case wfFinalGather:
 		if !m.waitAll.Step() {
 			return false
 		}
+		m.freePending()
 		// End-of-application synchronization.
 		m.pt.Switch(PhaseSync)
 		m.barrier.Init(rt.final, r)
@@ -784,6 +797,7 @@ func (m *workerFSM) stepDrain() bool {
 		case drHead:
 			if m.offReq != nil && m.offReq.Done() {
 				m.om = m.offReq.Message().Payload.(offsetMsg)
+				r.Free(m.offReq)
 				m.offReq = r.Irecv(boss, tagOffsets)
 				if rt.ad != nil && m.om.Strat == MW {
 					// The master already wrote this batch; the (empty)
@@ -817,6 +831,7 @@ func (m *workerFSM) stepDrain() bool {
 			m.drainPC = drHead
 		case drTokHead:
 			if m.tokReq != nil && m.tokReq.Done() {
+				r.Free(m.tokReq)
 				m.tokReq = r.Irecv(boss, tagSyncToken)
 				m.pt.Switch(PhaseSync)
 				m.barrier.Init(m.g.querySyn, r)

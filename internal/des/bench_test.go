@@ -1,29 +1,38 @@
 package des
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// BenchmarkEventHeap measures raw push/pop cost on the calendar heap at a
-// paper-scale working set, guarding the allocation behavior: with the
-// preallocated capacity of New, steady-state push/pop must not allocate.
+// BenchmarkEventHeap measures raw push/pop cost on the calendar heap at
+// three working-set depths: the pending events at peak of a paper-scale
+// run (2048), and of 10k- and 100k-rank cells, whose offset-list fan-outs
+// queue on the order of 10^5 events at once. It also guards the allocation
+// behavior: once the working set is built, steady-state push/pop must not
+// allocate.
 func BenchmarkEventHeap(b *testing.B) {
-	const depth = 2048 // pending events at peak in a paper-scale run
-	h := make(eventHeap, 0, initialHeapCap)
-	// Deterministic pseudo-random times exercise real sift paths.
-	x := uint64(2007029)
-	next := func() Time {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return Time(x % (1 << 30))
-	}
-	for i := 0; i < depth; i++ {
-		h.push(event{t: next(), seq: uint64(i)})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.push(event{t: next(), seq: uint64(depth + i)})
-		h.pop()
+	for _, depth := range []int{2048, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			h := make(eventHeap, 0, initialHeapCap)
+			// Deterministic pseudo-random times exercise real sift paths.
+			x := uint64(2007029)
+			next := func() Time {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return Time(x % (1 << 30))
+			}
+			for i := 0; i < depth; i++ {
+				h.push(event{t: next(), key: uint64(i) << kindBits})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.push(event{t: next(), key: uint64(depth+i) << kindBits})
+				h.pop()
+			}
+		})
 	}
 }
 
@@ -33,12 +42,12 @@ func BenchmarkEventHeap(b *testing.B) {
 func TestEventHeapSteadyStateAllocs(t *testing.T) {
 	h := make(eventHeap, 0, initialHeapCap)
 	for i := 0; i < 1024; i++ {
-		h.push(event{t: Time(i % 97), seq: uint64(i)})
+		h.push(event{t: Time(i % 97), key: uint64(i) << kindBits})
 	}
 	seq := uint64(1024)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			h.push(event{t: Time(seq % 97), seq: seq})
+			h.push(event{t: Time(seq % 97), key: seq << kindBits})
 			seq++
 			h.pop()
 		}
@@ -239,5 +248,41 @@ func BenchmarkGateFanIn(b *testing.B) {
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestEventHeapOrder checks the heap against a linear-scan reference:
+// whatever the push/pop interleaving, including many equal times, every pop
+// returns the pending event with the least (t, seq).
+func TestEventHeapOrder(t *testing.T) {
+	var h eventHeap
+	var ref []event
+	x := uint64(7)
+	seq := uint64(0)
+	for round := 0; round < 500; round++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		for i := 0; i < int(x%9); i++ {
+			seq++
+			e := event{t: Time((x >> i) % 50), key: seq<<kindBits | uint64(i%7)}
+			h.push(e)
+			ref = append(ref, e)
+		}
+		for i := 0; i < int(x%5)+len(ref)/64 && len(ref) > 0; i++ {
+			m := 0
+			for j := range ref {
+				if before(&ref[j], &ref[m]) {
+					m = j
+				}
+			}
+			if got := h.pop(); got != ref[m] {
+				t.Fatalf("round %d: pop = %+v, want %+v", round, got, ref[m])
+			}
+			ref = append(ref[:m], ref[m+1:]...)
+		}
+	}
+	if len(h) != len(ref) {
+		t.Fatalf("heap holds %d events, reference %d", len(h), len(ref))
 	}
 }

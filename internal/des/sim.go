@@ -37,19 +37,27 @@ const (
 )
 
 // event is a single entry in the calendar. Events with equal times fire in
-// insertion order (seq), which keeps the simulation deterministic.
+// insertion order, which keeps the simulation deterministic.
 //
-// The operand is a one-word tagged union discriminated by kind: a *Proc
-// (evStart, evResume), a *waiter (evWake, evBroadcast chain head, evTimer),
-// a *Task (evTask), or a closure (evFunc). Keeping the event at one pointer
-// word matters: the calendar moves events constantly (heap sift, append
-// growth), and every pointer field pays a GC write barrier per move.
+// key packs the insertion sequence number and the dispatch kind as
+// seq<<kindBits | kind. Sequence numbers are unique, so ordering by key is
+// exactly ordering by seq, and the kind rides along for free. The operand
+// is a one-word tagged union discriminated by kind: a *Proc (evStart,
+// evResume), a *waiter (evWake, evBroadcast chain head, evTimer), a *Task
+// (evTask), or a closure (evFunc). Keeping the event at three words with
+// one pointer matters: the calendar moves events constantly (heap sift,
+// append growth), and every pointer field pays a GC write barrier per move.
 type event struct {
-	t    Time
-	seq  uint64
-	arg  unsafe.Pointer
-	kind evKind
+	t   Time
+	key uint64
+	arg unsafe.Pointer
 }
+
+// kindBits is the width of the kind field packed into event.key.
+const kindBits = 3
+
+// kind returns the event's dispatch action.
+func (e *event) kind() evKind { return evKind(e.key & (1<<kindBits - 1)) }
 
 // funcArg packs a closure into an event operand. A func value is a single
 // pointer to its funcval, so the conversion is free and the GC still sees
@@ -63,52 +71,67 @@ func argFunc(arg unsafe.Pointer) func() {
 	return *(*func())(unsafe.Pointer(&arg))
 }
 
-// eventHeap is a binary min-heap ordered by (t, seq).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a fires before b: earlier time, then earlier
+// insertion.
+func before(a, b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.key < b.key)
 }
+
+// eventHeap is a 4-ary min-heap ordered by (t, seq). Four children per node
+// halve the depth of a binary heap, and a sift moves a hole down (or up)
+// and writes the displaced event once at the end instead of swapping at
+// every level.
+type eventHeap []event
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
-	i := len(*h) - 1
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !before(&e, &q[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = e
 }
 
 func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{}
-	*h = old[:n]
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if before(&q[j], &q[m]) {
+				m = j
+			}
+		}
+		if !before(&q[m], &last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
 	}
+	q[i] = last
 	return top
 }
 
@@ -191,7 +214,7 @@ func (s *Simulation) push(t Time, kind evKind, arg unsafe.Pointer) {
 		t = s.now
 	}
 	s.seq++
-	s.heap.push(event{t: t, seq: s.seq, kind: kind, arg: arg})
+	s.heap.push(event{t: t, key: s.seq<<kindBits | uint64(kind), arg: arg})
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -288,7 +311,7 @@ func (s *Simulation) Run() error {
 		e := s.heap.pop()
 		s.now = e.t
 		s.events++
-		if e.kind == evFunc { // fast path: skip the dispatch switch
+		if e.kind() == evFunc { // fast path: skip the dispatch switch
 			argFunc(e.arg)()
 			continue
 		}
@@ -314,7 +337,7 @@ func (s *Simulation) RunUntil(limit Time) bool {
 		e := s.heap.pop()
 		s.now = e.t
 		s.events++
-		if e.kind == evFunc {
+		if e.kind() == evFunc {
 			argFunc(e.arg)()
 			continue
 		}
@@ -325,7 +348,7 @@ func (s *Simulation) RunUntil(limit Time) bool {
 
 // dispatch performs a popped event's action. It runs in kernel context.
 func (s *Simulation) dispatch(e *event) {
-	switch e.kind {
+	switch e.kind() {
 	case evTask:
 		(*Task)(e.arg).rec.Fire()
 	case evResume:

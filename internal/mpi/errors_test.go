@@ -140,3 +140,13 @@ func TestProtocolErrorIsError(t *testing.T) {
 		t.Fatalf("Error() = %q, want %q", pe.Error(), want)
 	}
 }
+
+// TestProtocolErrorTagOutsideInt32 pins that tags are kept within int32,
+// the width the posted-receive index stores them at.
+func TestProtocolErrorTagOutsideInt32(t *testing.T) {
+	w := NewWorld(des.New(), 2, fastNet())
+	inProc(t, w, 0, func(r *Rank) {
+		wantProto(t, "Isend", func() { r.Isend(1, 1<<40, 8, nil) })
+		wantProto(t, "Irecv", func() { r.Irecv(1, 1<<40) })
+	})
+}

@@ -54,7 +54,7 @@ func (op *WaitOp) Init(r *Rank, q *Request) {
 // false when the process parked (FSM processes only).
 func (op *WaitOp) Step() bool {
 	r, q := op.r, op.q
-	for !q.done {
+	for !q.isDone() {
 		r.activity.Wait(r.proc)
 		if r.proc.Yielded() {
 			return false
@@ -68,7 +68,7 @@ func (op *WaitOp) Step() bool {
 
 // Message returns the completed receive's message (nil for sends). Valid
 // only after Step has returned true.
-func (op *WaitOp) Message() *Message { return op.q.msg }
+func (op *WaitOp) Message() *Message { return op.q.Message() }
 
 // WaitAllOp is Rank.WaitAll as a resumable operation: each request is waited
 // in order, with a fresh causal start per request, matching the blocking
@@ -129,7 +129,7 @@ func (op *WaitAnyOp) Step() bool {
 	r := op.r
 	for {
 		for i, q := range op.qs {
-			if q.done {
+			if q.isDone() {
 				if c := r.w.causal; c != nil {
 					r.recordWait(c, op.start, q)
 				}
@@ -343,7 +343,9 @@ func (op *BcastOp) Step() bool {
 			if !op.wait.Step() {
 				return false
 			}
-			op.payload = op.recvReq.msg.Payload
+			op.payload = op.recvReq.message().Payload
+			r.Free(op.recvReq)
+			op.recvReq = nil
 		}
 		// Forward to children.
 		for mask := op.mask >> 1; mask > 0; mask >>= 1 {
@@ -355,7 +357,12 @@ func (op *BcastOp) Step() bool {
 		op.waitAll.Init(r, op.sends)
 		op.pc = bcastSend
 	}
-	return op.waitAll.Step()
+	if !op.waitAll.Step() {
+		return false
+	}
+	r.FreeAll(op.sends...)
+	op.sends = op.sends[:0]
+	return true
 }
 
 // Result returns the broadcast payload; valid on every member once Step has

@@ -1,8 +1,17 @@
 // Package mpi implements a simulated Message Passing Interface over the
 // discrete-event kernel in internal/des: a world of ranks mapped onto nodes,
 // standard and nonblocking point-to-point operations with tag/source
-// matching (including wildcards), requests with Test/Wait semantics, and
-// reusable barriers.
+// matching (including wildcards), requests with Test/Wait semantics,
+// completion-ordered request sets, and reusable barriers.
+//
+// Each message costs the same whatever the rank count. Message records and
+// receive requests are pooled per World and handed back with Rank.Free
+// (MPI_Request_free semantics): a completed receive's Message is valid
+// until that receive is freed, and a handle that is never freed is simply
+// garbage-collected. Posted receives with a concrete (source, tag) are
+// indexed by that pattern, so matching does not scan every posted receive,
+// and a RequestSet hands back completed members in insertion order without
+// rescanning the outstanding ones.
 //
 // The network model is deliberately simple but captures the contention
 // effects the paper depends on: every node has one send-side and one
@@ -65,7 +74,7 @@ type Message struct {
 	// Causal stamps, populated only when a recorder is installed: who pushed
 	// the message into the network, when, and a world-unique flow id. They
 	// let a blocked receiver resolve its wait to the sending process.
-	sentBy string
+	sentBy *des.Proc
 	sentAt des.Time
 	id     uint64
 }
@@ -98,6 +107,12 @@ type World struct {
 	msgsToDead uint64
 
 	flowLabels map[int]string // "msg.<tag>", built once per tag (causal flows)
+
+	// Record pools (see transfer and Rank.Free). xferLive counts transfers
+	// handed out and not yet returned.
+	xferPool []*transfer
+	reqPool  []*Request
+	xferLive int
 }
 
 // NewWorld creates a world of n ranks over ceil(n/ProcsPerNode) nodes.
@@ -206,6 +221,12 @@ func (w *World) SetCausal(c *causal.Recorder) { w.causal = c }
 // world (ROMIO collectives) use it to bill their own work intervals.
 func (w *World) Causal() *causal.Recorder { return w.causal }
 
+// LiveTransfers reports how many message records are in use: sent and not
+// yet released by both the sender's request and the receiving side. A run
+// whose every call site frees its requests ends at zero (apart from
+// messages nobody ever received).
+func (w *World) LiveTransfers() int { return w.xferLive }
+
 // MessagesToDead reports how many messages were discarded at dead ranks.
 func (w *World) MessagesToDead() uint64 { return w.msgsToDead }
 
@@ -221,12 +242,13 @@ func (w *World) Kill(i int) {
 		return
 	}
 	r.dead = true
+	for _, t := range r.inbox {
+		w.release(t)
+	}
 	r.inbox = nil
-	posted := r.posted
-	r.posted = nil
-	for _, q := range posted {
-		q.cancelled = true
-		q.complete(nil)
+	for _, q := range r.posted.drain() {
+		q.flags |= reqCancelled
+		q.complete()
 	}
 }
 
@@ -256,7 +278,7 @@ func (w *World) Respawn(i int, name string, m des.Machine) *des.Proc {
 	}
 	r.dead = false
 	r.inbox = nil
-	r.posted = nil
+	r.posted.drain()
 	r.incarnation++
 	r.proc = w.sim.SpawnFSM(name, m)
 	return r.proc

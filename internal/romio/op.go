@@ -349,6 +349,7 @@ func (op *CollWriteOp) Step() bool {
 					return false
 				}
 				op.gathered = append(op.gathered, op.rreq.Message().Payload.([]pvfs.Segment)...)
+				r.Free(op.rreq)
 				op.rreq = nil
 				op.recvd++
 			}
@@ -370,6 +371,7 @@ func (op *CollWriteOp) Step() bool {
 			if !op.sendWait.Step() {
 				return false
 			}
+			r.FreeAll(op.sends...)
 			op.depart()
 		case collExit:
 			return op.barrier.Step()

@@ -390,6 +390,7 @@ func (op *CollReadOp) Step() bool {
 				if !op.rwait.Step() {
 					return false
 				}
+				r.Free(op.rreq)
 				op.rreq = nil
 				op.recvd++
 			}
@@ -399,6 +400,7 @@ func (op *CollReadOp) Step() bool {
 			if !op.sendWait.Step() {
 				return false
 			}
+			r.FreeAll(op.sends...)
 			op.fill()
 			op.depart()
 		case rcollExit:
